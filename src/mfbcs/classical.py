@@ -23,15 +23,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import fock, model
-from .errors import NumericalAbortError
-from .flow import FlowConfig, flow_onsite
+from .flow import ClosedFormFlow, flow_onsite
 from .states import OnSiteState
 
 StateLike = Union[OnSiteState, np.ndarray]
@@ -294,31 +292,8 @@ def even_traceless_basis() -> Tuple[np.ndarray, ...]:
 _EVEN_BASIS = even_traceless_basis()
 
 
-def _evolve_matrix(
-    params: model.ModelParams,
-    d0: np.ndarray,
-    t: float,
-    rtol: float = 1e-12,
-    atol: float = 1e-14,
-) -> np.ndarray:
-    """Raw mean-field evolution of a (possibly non-positive) matrix seed.
-
-    Used for directional derivatives: finite-difference displacements may
-    leave the state cone, which the ODE itself does not mind.
-    """
-    if t == 0.0:
-        return np.asarray(d0, dtype=complex)
-
-    def rhs(_s: float, y: np.ndarray) -> np.ndarray:
-        dmat = y.view(complex).reshape(4, 4)
-        dh = model.effective_hamiltonian(params, dmat)
-        return (-1j * (dh @ dmat - dmat @ dh)).ravel().view(float)
-
-    y0 = np.asarray(d0, dtype=complex).ravel().view(float).copy()
-    sol = solve_ivp(rhs, (0.0, t), y0, method="DOP853", rtol=rtol, atol=atol)
-    if not sol.success:
-        raise NumericalAbortError(f"directional flow failed: {sol.message}")
-    return np.ascontiguousarray(sol.y[:, -1]).view(complex).reshape(4, 4)
+#: Smallest accepted finite-difference step of the Liouville residuals.
+FD_STEP_FLOOR = 1e-11
 
 
 @dataclass(frozen=True)
@@ -335,7 +310,6 @@ def liouville_residuals(
     rho0: OnSiteState,
     t: float,
     fd_step: float = 1e-4,
-    flow_cfg: Optional[FlowConfig] = None,
 ) -> Dict[str, LiouvilleResult]:
     """Liouville residuals for several observables at one (state, time).
 
@@ -344,28 +318,23 @@ def liouville_residuals(
     difference of the solved flow.  The bracket side needs the convex
     derivative of the evolved observable V_t f as a function on the state
     space; it is assembled from directional finite differences along the
-    seven-direction even traceless basis, each direction evaluated by a
-    fresh flow from the displaced initial matrix (lazy per-point flows,
-    exactness over speed).  Those flows do not depend on f, so they are
-    shared by the whole batch.
+    seven-direction even traceless basis, each direction evaluated by the
+    closed-form flow of the displaced initial matrix (which may leave the
+    state cone; the closed form does not mind).  Those flows do not depend
+    on f, so they are shared by the whole batch.
 
-    ``fd_step`` should stay well above the flow tolerance, otherwise the
-    difference quotient is dominated by integrator noise; the returned
-    estimate accumulates the observed Richardson corrections.
+    ``fd_step`` must stay at least ``FD_STEP_FLOOR``, otherwise the
+    difference quotient is dominated by rounding; the returned estimate
+    accumulates the observed Richardson corrections.
     """
-    if fd_step <= 0:
-        raise ValueError("fd_step must be > 0")
-    cfg = flow_cfg or FlowConfig(method="adaptive", rtol=1e-12, atol=1e-14)
-    if cfg.method == "adaptive" and fd_step < 10.0 * cfg.rtol:
+    if fd_step < FD_STEP_FLOOR:
         raise ValueError(
-            "fd_step is too small relative to the flow tolerance; the "
-            "difference quotient would be dominated by integrator noise"
+            f"fd_step must be >= {FD_STEP_FLOOR:g}; below it the difference "
+            "quotient would be dominated by rounding"
         )
 
     h_t = fd_step
-    traj = flow_onsite(
-        params, rho0, [t - h_t, t - 0.5 * h_t, t + 0.5 * h_t, t + h_t], cfg
-    )
+    traj = flow_onsite(params, rho0, [t - h_t, t - 0.5 * h_t, t + 0.5 * h_t, t + h_t])
 
     # perturbed evolutions, shared across all observables
     d0 = rho0.matrix.astype(complex)
@@ -374,9 +343,9 @@ def liouville_residuals(
     for k, b in enumerate(_EVEN_BASIS):
         for s in scales:
             for sign in (1, -1):
-                evolved[(k, sign, s)] = _evolve_matrix(
-                    params, d0 + sign * s * b, t, cfg.rtol, cfg.atol
-                )
+                evolved[(k, sign, s)] = ClosedFormFlow.from_matrix(
+                    params, d0 + sign * s * b
+                )(t)
 
     dh_class = convex_derivative(classical_hamiltonian(params), d0)
     eye = np.eye(4, dtype=complex)
@@ -416,10 +385,9 @@ def liouville_residual(
     rho0: OnSiteState,
     t: float,
     fd_step: float = 1e-4,
-    flow_cfg: Optional[FlowConfig] = None,
 ) -> LiouvilleResult:
     """Single-observable convenience wrapper around :func:`liouville_residuals`."""
-    return liouville_residuals(params, {"f": f}, rho0, t, fd_step, flow_cfg)["f"]
+    return liouville_residuals(params, {"f": f}, rho0, t, fd_step)["f"]
 
 
 # ---------------------------------------------------------------------------
@@ -467,36 +435,13 @@ def rotor_map(params: model.ModelParams, rho: StateLike) -> RotorState:
 
 
 def rotor_flow(omega0: RotorState, times: Sequence[float]) -> Tuple[RotorState, ...]:
-    """Integrate the rotor equations (rigid precession at frequency omega3).
+    """Rigid precession of the rotor at frequency omega3, in closed form.
 
-    d omega1/dt = -omega3 omega2, d omega2/dt = omega3 omega1,
-    d omega3/dt = 0; the planar norm is conserved.
+    The rotor equations d omega1/dt = -omega3 omega2, d omega2/dt =
+    omega3 omega1, d omega3/dt = 0 give
+    omega1 + i omega2 = (omega1_0 + i omega2_0) e^{i omega3 t}.
     """
-    times = np.asarray(times, dtype=float)
-
-    def rhs(_t: float, y: np.ndarray) -> np.ndarray:
-        return np.array([-y[2] * y[1], y[2] * y[0], 0.0])
-
-    out: Dict[float, RotorState] = {}
-    y0 = omega0.as_array()
-    for sign in (1.0, -1.0):
-        branch = times[times * sign > 0.0]
-        if branch.size == 0:
-            continue
-        branch = np.sort(branch) if sign > 0 else np.sort(branch)[::-1]
-        sol = solve_ivp(
-            rhs,
-            (0.0, float(branch[-1])),
-            y0,
-            method="DOP853",
-            rtol=1e-12,
-            atol=1e-14,
-            t_eval=branch,
-        )
-        if not sol.success:
-            raise NumericalAbortError(f"rotor integration failed: {sol.message}")
-        for t, col in zip(branch, sol.y.T):
-            out[float(t)] = RotorState(*col)
-    if np.any(times == 0.0):
-        out[0.0] = omega0
-    return tuple(out[float(t)] for t in times)
+    planar = complex(omega0.omega1, omega0.omega2) * np.exp(
+        1j * omega0.omega3 * np.asarray(times, dtype=float)
+    )
+    return tuple(RotorState(p.real, p.imag, omega0.omega3) for p in planar)

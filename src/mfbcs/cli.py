@@ -22,7 +22,7 @@ import concurrent.futures
 import hashlib
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -30,7 +30,7 @@ import yaml
 
 from . import __version__, classical, dynamics, equilibrium, fock, model, verification
 from .errors import CapacityError, ConfigError, MfbcsError, NumericalAbortError
-from .flow import FlowConfig, flow_onsite, mixture_flow
+from .flow import flow_onsite, mixture_flow
 from .states import OnSiteState, ProductMixture
 
 TRAJECTORY_HEADER = (
@@ -40,9 +40,9 @@ TRAJECTORY_HEADER = (
 _COMMANDS = ("flow", "simulate", "converge", "gap", "scan", "liouville", "rotor", "verify")
 
 _TOP_KEYS = {
-    "command", "mu", "h", "lambda", "gamma", "beta", "sites", "times", "dt",
-    "method", "tolerance", "initial", "mixture", "phases", "scan", "states",
-    "fd_step", "out", "seed", "threads",
+    "command", "mu", "h", "lambda", "gamma", "beta", "sites", "times",
+    "initial", "mixture", "phases", "scan", "states", "fd_step", "out", "seed",
+    "threads",
 }
 _TIME_KEYS = {"start", "stop", "step"}
 _STATE_KEYS = {"kind", "angle", "phase", "seed", "c"}
@@ -65,8 +65,7 @@ class RunConfig:
     params: model.ModelParams
     beta: float = 1.0
     sites: Tuple[int, ...] = (2, 3, 4, 5)
-    times: Tuple[float, ...] = tuple(np.round(np.arange(0.0, 1.0001, 0.1), 12))
-    flow_cfg: FlowConfig = field(default_factory=lambda: FlowConfig(method="adaptive"))
+    times: Tuple[float, ...] = tuple(float(t) for t in np.round(np.arange(0.0, 1.0001, 0.1), 12))
     initial: Optional[StateSpec] = None
     mixture: Tuple[Tuple[float, StateSpec], ...] = ()
     phases: int = 8
@@ -155,7 +154,7 @@ def _parse_grid(raw, path: str) -> Tuple[float, ...]:
 def parse_config(text: str, command: Optional[str] = None) -> RunConfig:
     """Parse a YAML config document into a validated RunConfig.
 
-    Unknown keys are rejected; defaults are dt=1e-3, tolerance=1e-9, seed=0.
+    Unknown keys are rejected; defaults are seed=0 and threads=1.
     A command passed by the CLI must agree with any command in the document.
     """
     try:
@@ -205,17 +204,6 @@ def parse_config(text: str, command: Optional[str] = None) -> RunConfig:
             raise _fail(f"sites[{i}]", f"must be within 1..{fock.MAX_SITE_LIMIT}")
 
     times = _parse_times(raw.get("times", {}), "times") if "times" in raw else None
-
-    dt = _as_float(raw.get("dt", 1e-3), "dt")
-    if dt <= 0:
-        raise _fail("dt", "must be > 0")
-    tolerance = _as_float(raw.get("tolerance", 1e-9), "tolerance")
-    if tolerance <= 0:
-        raise _fail("tolerance", "must be > 0")
-    method = raw.get("method", "adaptive")
-    if method not in ("rk4", "adaptive"):
-        raise _fail("method", "must be 'rk4' or 'adaptive'")
-    flow_cfg = FlowConfig(step_size=dt, method=method, rtol=tolerance, atol=tolerance * 1e-3)
 
     initial = _parse_state(raw["initial"], "initial") if "initial" in raw else None
 
@@ -272,7 +260,6 @@ def parse_config(text: str, command: Optional[str] = None) -> RunConfig:
         params=params,
         beta=beta,
         sites=sites,
-        flow_cfg=flow_cfg,
         initial=initial,
         mixture=tuple(mixture),
         phases=phases,
@@ -324,7 +311,7 @@ class ResultTable:
     metadata: Dict[str, object]
 
     def _format(self, value) -> str:
-        if isinstance(value, bool):
+        if isinstance(value, (bool, np.bool_)):
             return "true" if value else "false"
         if isinstance(value, (int, np.integer)):
             return str(int(value))
@@ -348,41 +335,18 @@ class ResultTable:
 
 
 def _config_digest(config: RunConfig) -> str:
-    blob = yaml.safe_dump(
-        {
-            "command": config.command,
-            "mu": config.params.mu,
-            "h": config.params.h,
-            "lambda": config.params.lam,
-            "gamma": config.params.gamma,
-            "beta": config.beta,
-            "sites": list(config.sites),
-            "times": [float(t) for t in config.times],
-            "dt": config.flow_cfg.step_size,
-            "method": config.flow_cfg.method,
-            "tolerance": config.flow_cfg.rtol,
-            "phases": config.phases,
-            "states": config.n_states,
-            "fd_step": config.fd_step,
-            "seed": config.seed,
-        },
-        sort_keys=True,
-    )
-    return hashlib.sha256(blob.encode()).hexdigest()
+    """SHA-256 of the whole normalized config; the output path is not part of it."""
+    return hashlib.sha256(repr(replace(config, out=None)).encode()).hexdigest()
 
 
 def _run_flow(config: RunConfig) -> ResultTable:
     # mixtures evolve componentwise; the records then carry the mixture
     # expectations (kappa = |mixture z|^2 shows the interference beats)
     if config.mixture:
-        traj = mixture_flow(
-            config.params, _initial_mixture(config), np.array(config.times), config.flow_cfg
-        )
+        traj = mixture_flow(config.params, _initial_mixture(config), np.array(config.times))
         kind = "mixture"
     else:
-        traj = flow_onsite(
-            config.params, _initial_state(config), np.array(config.times), config.flow_cfg
-        )
+        traj = flow_onsite(config.params, _initial_state(config), np.array(config.times))
         kind = "product"
     rows = []
     for k, t in enumerate(traj.times):
@@ -397,7 +361,7 @@ def _run_flow(config: RunConfig) -> ResultTable:
     return ResultTable(
         TRAJECTORY_HEADER.split(","),
         rows,
-        {"backend": config.flow_cfg.method, "initial": kind},
+        {"backend": "closed-form", "initial": kind},
     )
 
 
@@ -453,7 +417,7 @@ def _run_simulate(config: RunConfig) -> ResultTable:
 def _run_converge(config: RunConfig) -> ResultTable:
     rho0 = _initial_state(config)
     times = np.array(config.times)
-    traj = flow_onsite(config.params, rho0, times, config.flow_cfg)
+    traj = flow_onsite(config.params, rho0, times)
     flow_series = {
         "d": traj.d, "m": traj.m, "w": traj.w,
         "z_re": traj.z.real, "z_im": traj.z.imag,
@@ -513,7 +477,7 @@ def _run_gap(config: RunConfig) -> ResultTable:
 
 
 def _run_scan(config: RunConfig) -> ResultTable:
-    grids = dict(config.scan) if config.scan else {"gamma": tuple(np.linspace(0.0, 8.0, 9))}
+    grids = dict(config.scan) or {"gamma": tuple(float(g) for g in np.linspace(0.0, 8.0, 9))}
     names = sorted(grids)
     base = {
         "mu": config.params.mu, "h": config.params.h,
@@ -576,7 +540,7 @@ def _run_rotor(config: RunConfig) -> ResultTable:
     rows = []
     for k in range(config.n_states):
         rho0 = OnSiteState.random_even(rng)
-        traj = flow_onsite(config.params, rho0, times, config.flow_cfg)
+        traj = flow_onsite(config.params, rho0, times)
         rotor = classical.rotor_flow(classical.rotor_map(config.params, rho0), times)
         for i, t in enumerate(times):
             via_flow = classical.rotor_map(config.params, traj.states[i])
@@ -656,14 +620,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.threads is not None:
             overrides["threads"] = args.threads
         if overrides:
-            from dataclasses import replace
-
             config = replace(config, **overrides)
         table = run(config)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except CapacityError as exc:

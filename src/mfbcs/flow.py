@@ -10,6 +10,18 @@ where dh is the state-dependent one-site generator
 the solution itself, which is the self-consistency at the heart of the
 mean-field limit.
 
+The equation is solved in closed form (:class:`ClosedFormFlow`).  The
+Cooper field rotates rigidly at nu = 2(mu - lam) + gamma (1 - d), so in the
+frame rotating with N = n_up + n_dn the generator is frozen and the flow is
+linear:
+
+    D_t = e^{i nu t N/2} e^{-itK} D_0 e^{itK} e^{-i nu t N/2},
+    K = dh(rho_0) + (nu/2) N.
+
+One 4x4 eigendecomposition of K serves every time, backward ones included.
+:func:`flow_ode` integrates the nonlinear equation with DOP853; it is kept
+only as the independent oracle of the verification suite.
+
 For mixtures of product states the components evolve independently and
 expectations combine linearly; the Cooper field of the mixture is then a
 sum of rotating phasors, which produces beats in the condensate density
@@ -22,22 +34,19 @@ cross-check pinning the sign convention of the flow.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.integrate import cumulative_simpson, solve_ivp
-from scipy.interpolate import CubicHermiteSpline
 
 from . import fock, model
 from .errors import NumericalAbortError, TruncationError
-from .states import OnSiteState, ProductMixture
-
-logger = logging.getLogger(__name__)
+from .states import HERMITICITY_TOL, TRACE_TOL, OnSiteState, ProductMixture
 
 _N_TOTAL = fock.N_UP + fock.N_DN
+_N_DIAG = np.diag(_N_TOTAL).real
 _M_OP = fock.N_UP - fock.N_DN
 _W_OP = fock.N_UP @ fock.N_DN
 
@@ -71,6 +80,10 @@ def _phase(z: complex) -> float:
     return -math.pi if theta == math.pi else theta
 
 
+def _precession(params: model.ModelParams, d: float) -> float:
+    return 2.0 * (params.mu - params.lam) + params.gamma * (1.0 - d)
+
+
 def observables(params: model.ModelParams, rho: OnSiteState) -> SiteObservables:
     """Evaluate the observable record of Prop-style densities at one state."""
     dmat = rho.matrix
@@ -85,40 +98,83 @@ def observables(params: model.ModelParams, rho: OnSiteState) -> SiteObservables:
         z=z,
         kappa=abs(z) ** 2,
         theta=_phase(z),
-        nu=2.0 * (params.mu - params.lam) + params.gamma * (1.0 - d),
+        nu=_precession(params, d),
     )
 
 
 @dataclass(frozen=True)
-class FlowConfig:
-    """Integrator settings.
+class ClosedFormFlow:
+    """Exact solution of the self-consistent flow from one initial matrix.
 
-    method "rk4" is a classical fixed-step scheme with step ``step_size``;
-    "adaptive" uses a high-order embedded scheme at (rtol, atol) and also
-    provides a dense interpolant, which the Dyson and self-consistency
-    checks rely on.
+    Construction does one 4x4 ``eigh``, K = dh(rho_0) + (nu/2) N =
+    U diag(E) U^dagger; calling
+    the evaluator at any array of times (negative ones included) is then
+    phases and two 4x4 products per time.  Any Hermitian trace-1 seed is
+    accepted, positive or not: the rotation law needs only those two
+    properties, so finite-difference displacements out of the state cone
+    evolve by the same formula.
     """
 
-    step_size: float = 1e-3
-    method: str = "rk4"
-    rtol: float = 1e-9
-    atol: float = 1e-12
-    rehermitize: bool = True
-    positivity_tolerance: float = 1e-8
+    basis: np.ndarray = field(repr=False)  # eigenvectors U of K
+    freqs: np.ndarray = field(repr=False)  # nu n_i / 2 - E_k, the phase rates of U
+    seed: np.ndarray = field(repr=False)  # U^dagger D_0 U
 
-    def __post_init__(self) -> None:
-        if self.step_size <= 0:
-            raise ValueError("step_size must be > 0")
-        if self.method not in ("rk4", "adaptive"):
-            raise ValueError(f"unknown method {self.method!r}")
-        if self.rtol <= 0 or self.atol <= 0:
-            raise ValueError("tolerances must be > 0")
-        if self.positivity_tolerance <= 0:
-            raise ValueError("positivity_tolerance must be > 0")
+    @classmethod
+    def from_matrix(cls, params: model.ModelParams, d0: np.ndarray) -> "ClosedFormFlow":
+        d0 = np.asarray(d0, dtype=complex)
+        if d0.shape != (4, 4):
+            raise ValueError(f"flow seed must be 4x4, got {d0.shape}")
+        if (
+            np.max(np.abs(d0 - d0.conj().T)) > HERMITICITY_TOL
+            or abs(np.trace(d0) - 1.0) > TRACE_TOL
+        ):
+            raise ValueError("the closed-form flow needs a Hermitian trace-1 seed")
+        nu = _precession(params, float(np.trace(d0 @ _N_TOTAL).real))
+        energies, basis = np.linalg.eigh(
+            model.effective_hamiltonian(params, d0) + 0.5 * nu * _N_TOTAL
+        )
+        freqs = 0.5 * nu * _N_DIAG[:, None] - energies[None, :]
+        return cls(basis, freqs, basis.conj().T @ d0 @ basis)
+
+    def __call__(self, t: Union[float, np.ndarray]) -> np.ndarray:
+        """D_t = W_t (U^dagger D_0 U) W_t^dagger with W_t = e^{i nu t N/2} U e^{-itE}.
+
+        The result has shape ``np.shape(t) + (4, 4)``.
+        """
+        w = self.basis * np.exp(1j * np.asarray(t, dtype=float)[..., None, None] * self.freqs)
+        return w @ self.seed @ np.swapaxes(w, -1, -2).conj()
 
 
-#: Settings used by the acceptance suite: tight adaptive integration.
-ACCEPTANCE_FLOW = FlowConfig(method="adaptive", rtol=1e-11, atol=1e-13)
+def flow_ode(
+    params: model.ModelParams, d0: np.ndarray, times: Sequence[float]
+) -> np.ndarray:
+    """DOP853 oracle for dD/dt = -i[dh(D), D] at rtol 1e-11, atol 1e-13.
+
+    Kept only to check :class:`ClosedFormFlow`.  ``times`` must run
+    monotonically away from t = 0 in one direction (0 itself allowed as the
+    first entry); the matrices come back stacked as (len(times), 4, 4).
+    """
+
+    def rhs(_t: float, y: np.ndarray) -> np.ndarray:
+        dmat = y.view(complex).reshape(4, 4)
+        dh = model.effective_hamiltonian(params, dmat)
+        return (-1j * (dh @ dmat - dmat @ dh)).ravel().view(float)
+
+    times = np.asarray(times, dtype=float)
+    y0 = np.asarray(d0, dtype=complex).ravel().view(float).copy()
+    sol = solve_ivp(
+        rhs,
+        (0.0, float(times[-1])),
+        y0,
+        method="DOP853",
+        rtol=1e-11,
+        atol=1e-13,
+        t_eval=times,
+    )
+    if not sol.success:
+        raise NumericalAbortError(f"flow oracle failed: {sol.message}")
+    return np.ascontiguousarray(sol.y.T).view(complex).reshape(-1, 4, 4)
+
 
 _RANGE_SLACK = 1e-8
 
@@ -136,10 +192,7 @@ class Trajectory:
     kappa: np.ndarray = field(repr=False)
     theta: np.ndarray = field(repr=False)
     nu: np.ndarray = field(repr=False)
-    method: str = "rk4"
-    interpolant: Optional[Callable[[float], np.ndarray]] = field(
-        default=None, repr=False, compare=False
-    )
+    evaluator: ClosedFormFlow = field(repr=False, compare=False)
 
     @classmethod
     def from_states(
@@ -147,8 +200,7 @@ class Trajectory:
         params: model.ModelParams,
         times: np.ndarray,
         states: Sequence[OnSiteState],
-        method: str,
-        interpolant: Optional[Callable[[float], np.ndarray]] = None,
+        evaluator: ClosedFormFlow,
     ) -> "Trajectory":
         recs = [observables(params, s) for s in states]
         traj = cls(
@@ -161,8 +213,7 @@ class Trajectory:
             kappa=np.array([r.kappa for r in recs]),
             theta=np.array([r.theta for r in recs]),
             nu=np.array([r.nu for r in recs]),
-            method=method,
-            interpolant=interpolant,
+            evaluator=evaluator,
         )
         traj._check_ranges()
         return traj
@@ -182,192 +233,46 @@ class Trajectory:
                 )
 
     def state_matrix(self, t: float) -> np.ndarray:
-        """Interpolated density matrix at an arbitrary time."""
-        if self.interpolant is None:
-            raise ValueError("this trajectory carries no interpolant")
-        return self.interpolant(t)
+        """Density matrix at an arbitrary time, from the closed form."""
+        return self.evaluator(t)
 
     def __len__(self) -> int:
         return len(self.times)
-
-
-def _rhs_matrix(params: model.ModelParams, dmat: np.ndarray) -> np.ndarray:
-    dh = model.effective_hamiltonian(params, dmat)
-    return -1j * (dh @ dmat - dmat @ dh)
-
-
-def _rhs_flat(params: model.ModelParams) -> Callable[[float, np.ndarray], np.ndarray]:
-    def rhs(_t: float, y: np.ndarray) -> np.ndarray:
-        dmat = y.view(complex).reshape(4, 4)
-        return _rhs_matrix(params, dmat).ravel().view(float)
-
-    return rhs
-
-
-def _sanitize(
-    dmat: np.ndarray, cfg: FlowConfig, context: str = "flow"
-) -> OnSiteState:
-    if cfg.rehermitize:
-        dmat = 0.5 * (dmat + dmat.conj().T)
-    eigs, vecs = np.linalg.eigh(dmat)
-    if eigs.min() < -cfg.positivity_tolerance:
-        raise NumericalAbortError(
-            f"{context}: positivity violated by {-eigs.min():.3e} "
-            f"(> {cfg.positivity_tolerance:.1e}); the step size is too large "
-            "for this trajectory"
-        )
-    if eigs.min() < 0:
-        eigs = np.clip(eigs, 0.0, None)
-        dmat = (vecs * eigs) @ vecs.conj().T
-    tr = np.trace(dmat).real
-    if abs(tr - 1.0) > 1e-12:
-        logger.info("%s: renormalizing trace drift %.3e", context, tr - 1.0)
-        dmat = dmat / tr
-    return OnSiteState.from_matrix(dmat)
-
-
-def _integrate_branch_rk4(
-    params: model.ModelParams, d0: np.ndarray, branch_times: np.ndarray, dt: float
-) -> List[np.ndarray]:
-    """Fixed-step RK4 from t=0 through the (monotone) branch times."""
-    out: List[np.ndarray] = []
-    dmat = d0.copy()
-    t_now = 0.0
-    for t_target in branch_times:
-        span = t_target - t_now
-        if span != 0.0:
-            n_steps = max(1, int(math.ceil(abs(span) / dt)))
-            h = span / n_steps
-            for _ in range(n_steps):
-                k1 = _rhs_matrix(params, dmat)
-                k2 = _rhs_matrix(params, dmat + 0.5 * h * k1)
-                k3 = _rhs_matrix(params, dmat + 0.5 * h * k2)
-                k4 = _rhs_matrix(params, dmat + h * k3)
-                dmat = dmat + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            t_now = t_target
-        out.append(dmat.copy())
-    return out
 
 
 def flow_onsite(
     params: model.ModelParams,
     rho0: OnSiteState,
     times: Sequence[float],
-    cfg: Optional[FlowConfig] = None,
 ) -> Trajectory:
-    """Integrate the self-consistent flow from rho0, sampling at ``times``.
+    """Evaluate the self-consistent flow from rho0 at ``times``.
 
     The initial state must be even (the product construction requires it);
-    evenness is then preserved along the flow.  The trajectory starts at
-    t = 0; negative sample times integrate the flow backwards.
+    evenness is then preserved along the flow.  Negative times evolve
+    backwards.
     """
-    cfg = cfg or FlowConfig()
     rho0.require_even()
     times = np.asarray(times, dtype=float)
-    d0 = rho0.matrix.astype(complex)
-
-    order = np.argsort(times, kind="stable")
-    sorted_times = times[order]
-    neg = sorted_times[sorted_times < 0.0][::-1]  # descending from 0
-    pos = sorted_times[sorted_times >= 0.0]
-
-    matrices: dict = {}
-    interpolants: List[Tuple[float, float, Callable[[float], np.ndarray]]] = []
-
-    def run_branch(branch: np.ndarray) -> None:
-        if branch.size == 0:
-            return
-        if cfg.method == "rk4":
-            mats = _integrate_branch_rk4(params, d0, branch, cfg.step_size)
-            for t, mat in zip(branch, mats):
-                matrices[float(t)] = mat
-            anchor_ts = np.concatenate(([0.0], branch))
-            anchor_ys = [d0] + mats
-            if len(anchor_ts) >= 2:
-                ts = anchor_ts[:: 1 if branch[-1] >= 0 else -1]
-                ys = anchor_ys[:: 1 if branch[-1] >= 0 else -1]
-                flat = np.array([y.ravel().view(float) for y in ys])
-                dflat = np.array(
-                    [_rhs_matrix(params, y).ravel().view(float) for y in ys]
-                )
-                spline = CubicHermiteSpline(ts, flat, dflat, axis=0)
-                lo, hi = min(ts[0], ts[-1]), max(ts[0], ts[-1])
-                interpolants.append(
-                    (lo, hi, lambda s, sp=spline: sp(s).view(complex).reshape(4, 4))
-                )
-        else:
-            t_end = float(branch[-1])
-            sol = solve_ivp(
-                _rhs_flat(params),
-                (0.0, t_end),
-                d0.ravel().view(float).copy(),
-                method="DOP853",
-                rtol=cfg.rtol,
-                atol=cfg.atol,
-                t_eval=branch,
-                dense_output=True,
-            )
-            if not sol.success:
-                raise NumericalAbortError(f"adaptive flow failed: {sol.message}")
-            for t, col in zip(branch, sol.y.T):
-                matrices[float(t)] = np.ascontiguousarray(col).view(complex).reshape(4, 4)
-            lo, hi = min(0.0, t_end), max(0.0, t_end)
-            interpolants.append(
-                (
-                    lo,
-                    hi,
-                    lambda s, so=sol.sol: np.ascontiguousarray(so(s))
-                    .view(complex)
-                    .reshape(4, 4),
-                )
-            )
-
-    if np.any(sorted_times == 0.0):
-        matrices[0.0] = d0.copy()
-    run_branch(neg)
-    run_branch(pos[pos > 0.0])
-
-    states = [
-        _sanitize(matrices[float(t)], cfg, context=f"flow at t={t:g}") for t in times
-    ]
-
-    interp: Optional[Callable[[float], np.ndarray]] = None
-    if interpolants:
-        spans = sorted(interpolants, key=lambda span: span[0])
-
-        def interp(s: float) -> np.ndarray:
-            if s == 0.0:
-                return d0.copy()
-            for lo, hi, fn in spans:
-                if lo <= s <= hi:
-                    return fn(s)
-            raise ValueError(f"time {s} outside the integrated range")
-
-    return Trajectory.from_states(params, times, states, cfg.method, interp)
+    evaluator = ClosedFormFlow.from_matrix(params, rho0.matrix)
+    states = [OnSiteState.from_matrix(mat) for mat in evaluator(times)]
+    return Trajectory.from_states(params, times, states, evaluator)
 
 
-def self_consistency_residual(
-    params: model.ModelParams,
-    traj: Trajectory,
-    cfg: Optional[FlowConfig] = None,
-) -> float:
+def self_consistency_residual(params: model.ModelParams, traj: Trajectory) -> float:
     """Fixed-point residual of a solved trajectory.
 
     Freezes the drive to the solved path, re-integrates the now linear
-    equation dD/dt = -i[dh(path(t)), D], and returns the max-norm deviation
-    from the original states.  For a true solution this is bounded by twice
-    the integrator tolerance.
+    equation dD/dt = -i[dh(path(t)), D] by DOP853 at rtol 1e-9, atol 1e-12,
+    and returns the max-norm deviation from the original states.  For a
+    true solution this is bounded by twice the integrator tolerance.
     """
-    cfg = cfg or FlowConfig(method="adaptive")
-    if traj.interpolant is None:
-        raise ValueError("self-consistency check needs a trajectory interpolant")
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         dmat = y.view(complex).reshape(4, 4)
-        dh = model.effective_hamiltonian(params, traj.interpolant(t))
+        dh = model.effective_hamiltonian(params, traj.state_matrix(t))
         return (-1j * (dh @ dmat - dmat @ dh)).ravel().view(float)
 
-    d0 = np.asarray(traj.interpolant(0.0), dtype=complex)
+    d0 = traj.state_matrix(0.0)
     worst = 0.0
     for sign in (1.0, -1.0):
         branch = traj.times[traj.times * sign > 0.0]
@@ -379,8 +284,8 @@ def self_consistency_residual(
             (0.0, float(branch[-1])),
             d0.ravel().view(float).copy(),
             method="DOP853",
-            rtol=cfg.rtol,
-            atol=cfg.atol,
+            rtol=1e-9,
+            atol=1e-12,
             t_eval=branch,
         )
         if not sol.success:
@@ -427,7 +332,6 @@ def mixture_flow(
     params: model.ModelParams,
     mix: ProductMixture,
     times: Sequence[float],
-    cfg: Optional[FlowConfig] = None,
 ) -> MixtureTrajectory:
     """Evolve every mixture component independently and combine linearly.
 
@@ -437,14 +341,14 @@ def mixture_flow(
     longer constant in general (interference between components).
     """
     times = np.asarray(times, dtype=float)
-    trajs = tuple(flow_onsite(params, s, times, cfg) for s in mix.states)
+    trajs = tuple(flow_onsite(params, s, times) for s in mix.states)
     u = np.asarray(mix.weights)
     d = sum(ui * t.d for ui, t in zip(u, trajs))
     m = sum(ui * t.m for ui, t in zip(u, trajs))
     w = sum(ui * t.w for ui, t in zip(u, trajs))
     z = sum(ui * t.z for ui, t in zip(u, trajs))
     theta = np.array([_phase(zi) for zi in z])
-    nu = 2.0 * (params.mu - params.lam) + params.gamma * (1.0 - d)
+    nu = _precession(params, d)
     return MixtureTrajectory(
         times=times,
         weights=mix.weights,
@@ -467,8 +371,8 @@ def interference_prediction(
     """Closed-form mixture Cooper field sum_j u_j sqrt(kappa_j) e^{i(t nu_j + theta_j)}.
 
     Each component's field rotates rigidly at its own frequency nu_j, so the
-    mixture field is a sum of phasors; mixture_flow must reproduce it within
-    integrator tolerance.
+    mixture field is a sum of phasors; mixture_flow must reproduce it to
+    rounding.
     """
     t = np.asarray(t, dtype=float)
     out = np.zeros(t.shape, dtype=complex)

@@ -17,9 +17,9 @@ import numpy as np
 
 from . import classical, dynamics, equilibrium, fock, model
 from .flow import (
-    ACCEPTANCE_FLOW,
     Trajectory,
     dyson_phillips,
+    flow_ode,
     flow_onsite,
     heisenberg_propagator_ode,
     interference_prediction,
@@ -96,21 +96,31 @@ def check_car_exactness(seed: int = 0) -> CheckResult:
 
 
 @lru_cache(maxsize=4)
-def _prop1_suite(seed: int) -> Tuple[Tuple[model.ModelParams, OnSiteState, Trajectory], ...]:
+def _prop1_suite(
+    seed: int,
+) -> Tuple[Tuple[model.ModelParams, OnSiteState, Trajectory, np.ndarray], ...]:
+    """Closed-form trajectories with their DOP853 oracle matrices."""
     rng = np.random.default_rng(seed)
     times = np.linspace(0.0, 10.0, 41)
     out = []
     for _ in range(50):
         params = _seeded_params(rng)
         rho0 = OnSiteState.random_even(rng)
-        out.append((params, rho0, flow_onsite(params, rho0, times, ACCEPTANCE_FLOW)))
+        out.append(
+            (
+                params,
+                rho0,
+                flow_onsite(params, rho0, times),
+                flow_ode(params, rho0.matrix, times),
+            )
+        )
     return tuple(out)
 
 
 def check_conserved_densities(seed: int = 0) -> CheckResult:
     def body():
         worst = 0.0
-        for _params, _rho0, traj in _prop1_suite(seed):
+        for _params, _rho0, traj, _ode in _prop1_suite(seed):
             drift = (
                 np.abs(traj.d - traj.d[0])
                 + np.abs(traj.m - traj.m[0])
@@ -126,15 +136,22 @@ def check_cooper_field_law(seed: int = 0) -> CheckResult:
     def body():
         worst_z = 0.0
         worst_kappa = 0.0
-        for params, rho0, traj in _prop1_suite(seed):
+        worst_ode = 0.0
+        for params, rho0, traj, ode in _prop1_suite(seed):
             rec0 = observables(params, rho0)
             predicted = math.sqrt(rec0.kappa) * np.exp(
                 1j * (traj.times * rec0.nu + rec0.theta)
             )
             worst_z = max(worst_z, float(np.max(np.abs(traj.z - predicted))))
             worst_kappa = max(worst_kappa, float(np.max(np.abs(traj.kappa - rec0.kappa))))
-        passed = worst_z < 1e-6 and worst_kappa < 1e-8
-        return passed, worst_z, 1e-6, f"kappa drift {worst_kappa:.2e} (limit 1e-8)"
+            closed = np.array([s.matrix for s in traj.states])
+            worst_ode = max(worst_ode, float(np.max(np.abs(closed - ode))))
+        passed = worst_z < 1e-6 and worst_kappa < 1e-8 and worst_ode <= 1e-9
+        detail = (
+            f"kappa drift {worst_kappa:.2e} (limit 1e-8), "
+            f"closed form vs DOP853 {worst_ode:.2e} (limit 1e-9)"
+        )
+        return passed, worst_z, 1e-6, detail
 
     return _timed(body, "cooper-field-rotation")
 
@@ -142,7 +159,7 @@ def check_cooper_field_law(seed: int = 0) -> CheckResult:
 def check_rotor_diagram(seed: int = 0) -> CheckResult:
     def body():
         worst = 0.0
-        for params, rho0, traj in _prop1_suite(seed):
+        for params, rho0, traj, _ode in _prop1_suite(seed):
             start = classical.rotor_map(params, rho0)
             rotor = classical.rotor_flow(start, traj.times)
             for k, t in enumerate(traj.times):
@@ -185,13 +202,13 @@ def check_interference(seed: int = 0) -> CheckResult:
                 (float(u), OnSiteState.random_even(rng)) for u in weights
             ]
             mix = ProductMixture.from_components(comps)
-            result = mixture_flow(params, mix, times, ACCEPTANCE_FLOW)
+            result = mixture_flow(params, mix, times)
             predicted = interference_prediction(params, mix, times)
             worst = max(worst, float(np.max(np.abs(result.z - predicted))))
 
         params, mix, period = _beat_example()
         times = np.linspace(0.0, period, 201)
-        result = mixture_flow(params, mix, times, ACCEPTANCE_FLOW)
+        result = mixture_flow(params, mix, times)
         swing = float(result.kappa.max() - result.kappa.min())
         beat_ok = swing > 0.1 and abs(swing - BEAT_PEAK_TO_TROUGH) < 1e-3
         detail = f"beat swing {swing:.4f} (pinned {BEAT_PEAK_TO_TROUGH})"
@@ -208,14 +225,13 @@ def convergence_table(
     rho0: OnSiteState,
     t: float,
     site_counts: Sequence[int],
-    flow_cfg: FlowConfig = ACCEPTANCE_FLOW,
 ) -> Dict[int, float]:
     """Max deviation between exact N-site and mean-field expectations at t.
 
     The observable set is the standard one: total density, magnetization,
     double occupancy, and both pair-field quadratures, all on one site.
     """
-    traj = flow_onsite(params, rho0, [t], flow_cfg)
+    traj = flow_onsite(params, rho0, [t])
     targets = {
         "d": traj.d[0],
         "m": traj.m[0],
@@ -438,7 +454,7 @@ def check_equilibrium_stationarity(seed: int = 0) -> CheckResult:
         drifts = {}
         for n_phases in (8, 16):
             mix = equilibrium.equilibrium_mixture(params, beta=1.0, n_phases=n_phases)
-            result = mixture_flow(params, mix, times, ACCEPTANCE_FLOW)
+            result = mixture_flow(params, mix, times)
             drift = 0.0
             for arr in (result.d, result.m, result.w):
                 drift = max(drift, float(np.max(np.abs(arr - arr[0]))))
@@ -465,7 +481,7 @@ def check_dyson(seed: int = 0) -> CheckResult:
         for _ in range(10):
             params = _seeded_params(rng)
             rho0 = OnSiteState.random_even(rng)
-            traj = flow_onsite(params, rho0, [0.0, t], ACCEPTANCE_FLOW)
+            traj = flow_onsite(params, rho0, [0.0, t])
             drive = traj.state_matrix
             t_prop = heisenberg_propagator_ode(params, drive, t)
             a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))

@@ -20,7 +20,7 @@ from mfbcs.classical import (
     rotor_flow,
     rotor_map,
 )
-from mfbcs.flow import flow_onsite, observables, ACCEPTANCE_FLOW
+from mfbcs.flow import flow_onsite, observables
 from mfbcs.states import OnSiteState
 
 from conftest import random_params
@@ -219,7 +219,7 @@ def test_rotor_commuting_diagram(rng):
     for _ in range(3):
         params = random_params(rng)
         rho0 = OnSiteState.random_even(rng)
-        traj = flow_onsite(params, rho0, times, ACCEPTANCE_FLOW)
+        traj = flow_onsite(params, rho0, times)
         rotor = rotor_flow(rotor_map(params, rho0), times)
         for k in range(len(times)):
             via_flow = rotor_map(params, traj.states[k])

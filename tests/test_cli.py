@@ -1,10 +1,13 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from mfbcs import cli, verification
-from mfbcs.cli import TRAJECTORY_HEADER, parse_config, run
+from mfbcs.cli import TRAJECTORY_HEADER, ResultTable, parse_config, run
 from mfbcs.errors import ConfigError
 
 
@@ -13,9 +16,24 @@ def test_parse_minimal_defaults():
     assert cfg.command == "flow"
     assert cfg.params.gamma == 2.0
     assert cfg.params.mu == 0.0
-    assert cfg.flow_cfg.step_size == 1e-3
-    assert cfg.flow_cfg.rtol == 1e-9
+    assert len(cfg.times) == 11 and cfg.times[-1] == 1.0
+    assert all(type(t) is float for t in cfg.times)  # plain floats dump and digest cleanly
     assert cfg.seed == 0
+
+
+@pytest.mark.parametrize("key", ["dt: 1.0e-3", "method: adaptive", "tolerance: 1.0e-9"])
+def test_parse_rejects_removed_flow_keys(key):
+    # the flow is evaluated in closed form; integrator settings are unknown keys
+    with pytest.raises(ConfigError, match="unknown key"):
+        parse_config(f"command: flow\n{key}\n")
+
+
+def test_readme_config_block_matches_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"```yaml\n(.*?)```", readme, re.S).group(1)
+    cfg = parse_config(block)
+    assert cfg.command == "converge"
+    assert set(yaml.safe_load(block)) == cli._TOP_KEYS
 
 
 def test_parse_rejects_negative_gamma():
@@ -251,3 +269,39 @@ def test_cli_seed_override(tmp_path):
     assert cli.main(["gap", "--config", str(cfg_path), "--out", str(out), "--seed", "7"]) == 0
     meta = (tmp_path / "out.csv.meta.yaml").read_text()
     assert "seed: 7" in meta
+
+
+def test_scan_default_grid_sidecar(tmp_path):
+    out = tmp_path / "scan.csv"
+    table = run(parse_config(f"command: scan\nout: {out}\n"))
+    assert len(table.rows) == 9
+    meta = yaml.safe_load((tmp_path / "scan.csv.meta.yaml").read_text())
+    assert meta["grid"] == {"gamma": [float(g) for g in range(9)]}
+
+
+def test_config_digest_covers_whole_config(tmp_path):
+    def digest(text):
+        return cli._config_digest(parse_config(text))
+
+    pair = digest("command: flow\ninitial: {kind: pair}\n")
+    assert pair != digest("command: flow\ninitial: {kind: vacuum}\n")
+    assert pair != digest(
+        "command: flow\nmixture: [{weight: 1.0, state: {kind: pair}}]\n"
+    )
+    assert digest("command: scan\nscan: {gamma: [1.0, 2.0]}\n") != digest(
+        "command: scan\nscan: {gamma: [1.0, 3.0]}\n"
+    )
+    # where the output goes is not part of what was computed
+    assert pair == digest(f"command: flow\ninitial: {{kind: pair}}\nout: {tmp_path}/x.csv\n")
+
+
+def test_result_table_formats_numpy_bool():
+    table = ResultTable(["a", "b"], [(np.bool_(True), np.bool_(False))], {})
+    assert table.to_csv() == "a,b\ntrue,false\n"
+
+
+def test_main_output_error_exit_code(tmp_path, capsys):
+    cfg = tmp_path / "ok.yaml"
+    cfg.write_text("gamma: 2.0\n")
+    assert cli.main(["gap", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error:")

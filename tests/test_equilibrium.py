@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mfbcs import dynamics, equilibrium, model
-from mfbcs.flow import ACCEPTANCE_FLOW, mixture_flow, observables
+from mfbcs.flow import mixture_flow, observables
 
 # oracle: root of r = tanh(4 r)/2 (stationarity at beta=1, gamma=8),
 # bisected to full precision
@@ -144,7 +144,7 @@ def test_equilibrium_mixture_is_stationary():
     params = model.ModelParams(mu=0.4, lam=0.1, gamma=8.0)
     mix = equilibrium.equilibrium_mixture(params, 1.0, 4)
     times = np.linspace(0.0, 2.0, 5)
-    mt = mixture_flow(params, mix, times, ACCEPTANCE_FLOW)
+    mt = mixture_flow(params, mix, times)
     assert np.max(np.abs(mt.d - mt.d[0])) < 1e-10
     assert np.max(np.abs(mt.z - mt.z[0])) < 1e-10
     # the equilibrium state precesses at zero frequency

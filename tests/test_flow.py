@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfbcs import fock, model
-from mfbcs.errors import NumericalAbortError, TruncationError
+from mfbcs import classical, fock, model
+from mfbcs.errors import TruncationError
 from mfbcs.flow import (
-    ACCEPTANCE_FLOW,
-    FlowConfig,
+    ClosedFormFlow,
     dyson_phillips,
+    flow_ode,
     flow_onsite,
     heisenberg_propagator_ode,
     interference_prediction,
@@ -52,7 +52,7 @@ def test_flow_gamma_zero_closed_form(rng):
     params = model.ModelParams(mu=0.8, h=0.3, lam=0.2, gamma=0.0)
     rho0 = OnSiteState.random_even(rng)
     times = np.linspace(0.0, 3.0, 7)
-    traj = flow_onsite(params, rho0, times, ACCEPTANCE_FLOW)
+    traj = flow_onsite(params, rho0, times)
     z0 = rho0.pair_expectation()
     expected = z0 * np.exp(2j * (params.mu - params.lam) * times)
     assert np.max(np.abs(traj.z - expected)) < 1e-10
@@ -70,7 +70,7 @@ def test_flow_fixed_point_maximally_mixed():
 def test_flow_cooper_field_rotation(rng):
     params = random_params(rng)
     rho0 = OnSiteState.random_even(rng)
-    traj = flow_onsite(params, rho0, [1.0], ACCEPTANCE_FLOW)
+    traj = flow_onsite(params, rho0, [1.0])
     rec0 = observables(params, rho0)
     predicted = math.sqrt(rec0.kappa) * np.exp(1j * (rec0.nu + rec0.theta))
     assert abs(traj.z[0] - predicted) < 1e-9
@@ -79,7 +79,7 @@ def test_flow_cooper_field_rotation(rng):
 def test_flow_backward_times(rng):
     params = random_params(rng)
     rho0 = OnSiteState.random_even(rng)
-    traj = flow_onsite(params, rho0, [-1.0, 0.0, 1.0], ACCEPTANCE_FLOW)
+    traj = flow_onsite(params, rho0, [-1.0, 0.0, 1.0])
     rec0 = observables(params, rho0)
     for t, z in zip(traj.times, traj.z):
         predicted = math.sqrt(rec0.kappa) * np.exp(1j * (t * rec0.nu + rec0.theta))
@@ -95,19 +95,36 @@ def test_flow_requires_even():
 def test_flow_preserves_evenness(rng):
     params = random_params(rng)
     rho0 = OnSiteState.random_even(rng)
-    traj = flow_onsite(params, rho0, np.linspace(0.0, 5.0, 6), ACCEPTANCE_FLOW)
+    traj = flow_onsite(params, rho0, np.linspace(0.0, 5.0, 6))
     for state in traj.states:
         assert parity_commutator_norm(state.matrix) < 1e-8
 
 
-def test_rk4_matches_adaptive(rng):
+def test_closed_form_matches_flow_ode(rng):
     params = random_params(rng)
     rho0 = OnSiteState.random_even(rng)
-    times = [0.0, 0.5, 1.0]
-    rk4 = flow_onsite(params, rho0, times, FlowConfig(method="rk4", step_size=1e-3))
-    ada = flow_onsite(params, rho0, times, ACCEPTANCE_FLOW)
-    for a, b in zip(rk4.states, ada.states):
-        assert np.max(np.abs(a.matrix - b.matrix)) < 1e-9
+    forward = np.linspace(0.0, 5.0, 11)
+    evaluator = ClosedFormFlow.from_matrix(params, rho0.matrix)
+    for times in (forward, -forward):
+        assert np.max(np.abs(evaluator(times) - flow_ode(params, rho0.matrix, times))) < 1e-9
+    # a displaced seed outside the state cone follows the same closed form
+    seed = rho0.matrix + 1.5 * classical.even_traceless_basis()[0]
+    assert np.linalg.eigvalsh(seed).min() < 0
+    closed = ClosedFormFlow.from_matrix(params, seed)(forward)
+    assert np.max(np.abs(closed - flow_ode(params, seed, forward))) < 1e-9
+
+
+def test_closed_form_seed_validation_and_shapes(rng):
+    params = random_params(rng)
+    rho0 = OnSiteState.random_even(rng)
+    with pytest.raises(ValueError, match="trace-1"):
+        ClosedFormFlow.from_matrix(params, 2.0 * rho0.matrix)
+    with pytest.raises(ValueError, match="Hermitian"):
+        ClosedFormFlow.from_matrix(params, rho0.matrix + 0.1j * np.triu(np.ones((4, 4)), 1))
+    traj = flow_onsite(params, rho0, [0.0, 0.7])
+    assert traj.state_matrix(0.7).shape == (4, 4)
+    assert np.max(np.abs(traj.state_matrix(0.7) - traj.states[1].matrix)) < 1e-14
+    assert np.max(np.abs(traj.state_matrix(0.0) - rho0.matrix)) < 1e-14
 
 
 @given(seed=st.integers(min_value=0, max_value=10_000))
@@ -116,7 +133,7 @@ def test_property_densities_conserved(seed):
     rng = np.random.default_rng(seed)
     params = random_params(rng)
     rho0 = OnSiteState.random_even(rng)
-    traj = flow_onsite(params, rho0, [0.0, 2.0], ACCEPTANCE_FLOW)
+    traj = flow_onsite(params, rho0, [0.0, 2.0])
     assert abs(traj.d[1] - traj.d[0]) < 1e-9
     assert abs(traj.m[1] - traj.m[0]) < 1e-9
     assert abs(traj.w[1] - traj.w[0]) < 1e-9
@@ -126,18 +143,9 @@ def test_property_densities_conserved(seed):
 def test_self_consistency_residual(rng):
     params = random_params(rng)
     rho0 = OnSiteState.random_even(rng)
-    traj = flow_onsite(params, rho0, np.linspace(0.0, 4.0, 9), ACCEPTANCE_FLOW)
+    traj = flow_onsite(params, rho0, np.linspace(0.0, 4.0, 9))
     res = self_consistency_residual(params, traj)
-    assert res < 2e-9  # 2x the integrator tolerance scale
-
-
-def test_positivity_abort():
-    # a huge fixed step on a strongly driven state destroys positivity
-    params = model.ModelParams(gamma=4.0)
-    rho0 = OnSiteState.pair_superposition(math.pi / 5.0)
-    cfg = FlowConfig(method="rk4", step_size=3.0, positivity_tolerance=1e-10)
-    with pytest.raises(NumericalAbortError):
-        flow_onsite(params, rho0, [30.0], cfg)
+    assert res < 2e-9  # 2x the residual integrator's tolerance scale
 
 
 def test_mixture_single_component_identical(rng):
@@ -145,8 +153,8 @@ def test_mixture_single_component_identical(rng):
     rho0 = OnSiteState.random_even(rng)
     times = [0.0, 0.8]
     mix = ProductMixture.single(rho0)
-    mt = mixture_flow(params, mix, times, ACCEPTANCE_FLOW)
-    traj = flow_onsite(params, rho0, times, ACCEPTANCE_FLOW)
+    mt = mixture_flow(params, mix, times)
+    traj = flow_onsite(params, rho0, times)
     # same code path, weight 1.0: bitwise equality
     assert np.array_equal(mt.d, 1.0 * traj.d)
     assert np.array_equal(mt.z, 1.0 * traj.z)
@@ -159,7 +167,7 @@ def test_mixture_expectation_series_linearity(rng):
     comps = [(0.25, OnSiteState.random_even(rng)), (0.75, OnSiteState.random_even(rng))]
     mix = ProductMixture.from_components(comps)
     times = [0.0, 0.6, 1.2]
-    mt = mixture_flow(params, mix, times, ACCEPTANCE_FLOW)
+    mt = mixture_flow(params, mix, times)
     manual_d = 0.25 * mt.components[0].d + 0.75 * mt.components[1].d
     assert np.array_equal(mt.d, manual_d)
     series = mt.expectation_series((fock.N_UP + fock.N_DN).astype(complex))
@@ -178,7 +186,7 @@ def test_mixture_opposite_phases_cancel():
         ]
     )
     times = np.linspace(0.0, 4.0, 9)
-    mt = mixture_flow(params, mix, times, ACCEPTANCE_FLOW)
+    mt = mixture_flow(params, mix, times)
     assert np.max(np.abs(mt.z)) < 1e-10
 
 
@@ -194,7 +202,7 @@ def test_mixture_beats():
     nu2 = observables(params, mix.states[1]).nu
     period = 2.0 * math.pi / abs(nu1 - nu2)
     times = np.linspace(0.0, period, 101)
-    mt = mixture_flow(params, mix, times, ACCEPTANCE_FLOW)
+    mt = mixture_flow(params, mix, times)
     swing = mt.kappa.max() - mt.kappa.min()
     assert abs(swing - 0.125) < 1e-6  # closed-form peak-to-trough
     # |prediction|^2 is periodic with the beat period
@@ -222,7 +230,7 @@ def test_mixture_flow_matches_prediction(rng):
     comps = [(0.3, OnSiteState.random_even(rng)), (0.7, OnSiteState.random_even(rng))]
     mix = ProductMixture.from_components(comps)
     times = np.linspace(0.0, 2.0, 11)
-    mt = mixture_flow(params, mix, times, ACCEPTANCE_FLOW)
+    mt = mixture_flow(params, mix, times)
     predicted = interference_prediction(params, mix, times)
     assert np.max(np.abs(mt.z - predicted)) < 1e-8
 
@@ -256,7 +264,7 @@ def test_dyson_flow_drive_vs_ode(rng):
     params = random_params(rng)
     rho0 = OnSiteState.random_even(rng)
     t = 0.1
-    traj = flow_onsite(params, rho0, [0.0, t], ACCEPTANCE_FLOW)
+    traj = flow_onsite(params, rho0, [0.0, t])
     a = (1j * (fock.PAIR - fock.PAIR_DAG)).astype(complex)
     res = dyson_phillips(params, traj.state_matrix, t, 8, a)
     ref = (heisenberg_propagator_ode(params, traj.state_matrix, t) @ a.ravel()).reshape(4, 4)
@@ -273,9 +281,3 @@ def test_dyson_truncation_error_raised(rng):
     with pytest.raises(TruncationError):
         dyson_phillips(params, lambda s: rho, 5.0, 2, fock.PAIR_DAG + fock.PAIR, tol=1e-8)
 
-
-def test_flow_config_validation():
-    with pytest.raises(ValueError):
-        FlowConfig(step_size=0.0)
-    with pytest.raises(ValueError):
-        FlowConfig(method="euler")
