@@ -390,62 +390,38 @@ def _run_simulate(config: RunConfig) -> ResultTable:
     n = config.sites[0]
     initial = _initial_global(config, n)
     backend = dynamics.propagation_backend(n, initial.kind)
-    prop = dynamics.Propagator.from_model(n, config.params) if backend == "spectral" else None
     times = list(config.times)
-    series = {}
-    for name, op in (
-        ("d", fock.N_UP + fock.N_DN),
-        ("m", fock.N_UP - fock.N_DN),
-        ("w", fock.N_UP @ fock.N_DN),
-        ("z", fock.PAIR),
-    ):
-        series[name] = dynamics.evolve_expectation(
-            n, config.params, initial, op, times, propagator=prop
+    columns = fock.site_columns(
+        dynamics.evolve_expectation(
+            n, config.params, initial, fock.SITE_OBSERVABLES.values(), times
         )
+    )
     rows = [
-        (
-            t, series["d"][k].real, series["m"][k].real, series["w"][k].real,
-            series["z"][k].real, series["z"][k].imag,
-        )
+        (t, *(columns[name][k] for name in fock.SITE_COLUMNS))
         for k, t in enumerate(times)
     ]
-    return ResultTable(
-        ["t", "d", "m", "w", "z_re", "z_im"], rows, {"backend": backend, "sites": n}
-    )
+    return ResultTable(["t", *fock.SITE_COLUMNS], rows, {"backend": backend, "sites": n})
 
 
 def _run_converge(config: RunConfig) -> ResultTable:
     rho0 = _initial_state(config)
     times = np.array(config.times)
     traj = flow_onsite(config.params, rho0, times)
-    flow_series = {
-        "d": traj.d, "m": traj.m, "w": traj.w,
-        "z_re": traj.z.real, "z_im": traj.z.imag,
-    }
-    obs = (
-        ("d", fock.N_UP + fock.N_DN, np.real),
-        ("m", fock.N_UP - fock.N_DN, np.real),
-        ("w", fock.N_UP @ fock.N_DN, np.real),
-        ("z_re", fock.PAIR, np.real),
-        ("z_im", fock.PAIR, np.imag),
-    )
+    flow_series = fock.site_columns((traj.d, traj.m, traj.w, traj.z))
 
     def per_site(n: int):
         initial = dynamics.product_state(n, rho0)
-        prop = dynamics.Propagator.from_model(n, config.params)
-        out = []
-        for name, op, part in obs:
-            finite = part(
-                dynamics.evolve_expectation(
-                    n, config.params, initial, op, times, propagator=prop
-                )
+        finite = fock.site_columns(
+            dynamics.evolve_expectation(
+                n, config.params, initial, fock.SITE_OBSERVABLES.values(), times
             )
-            for k, t in enumerate(times):
-                out.append(
-                    (n, float(t), name, float(finite[k]), float(flow_series[name][k]),
-                     abs(float(finite[k]) - float(flow_series[name][k])))
-                )
-        return out
+        )
+        return [
+            (n, float(t), name, float(finite[name][k]), float(flow_series[name][k]),
+             abs(float(finite[name][k]) - float(flow_series[name][k])))
+            for name in fock.SITE_COLUMNS
+            for k, t in enumerate(times)
+        ]
 
     if config.threads > 1:
         with concurrent.futures.ThreadPoolExecutor(config.threads) as pool:

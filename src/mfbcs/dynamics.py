@@ -2,9 +2,22 @@
 
 Everything here is the desk-scale benchmark side: dense spectral evolution
 up to 5 sites (dimension 1024) and a sparse Krylov backend for pure states
-at 6 sites.  Observables at time t are computed in the Schroedinger picture
-(the state is evolved, not the observable); equivalence with the Heisenberg
-picture is asserted in the test suite at small sizes.
+at 6 sites.
+
+:func:`evolve_expectation` evaluates a list of observables on a whole time
+grid at once.  The spectral backend rotates the initial state and each
+observable into the eigenbasis of H once, D~ = U^dagger D U and
+A~ = U^dagger A U; every time point is then the phase sum
+
+    Trace(A D_t) = sum_ab A~_ba D~_ab e^{-i (w_a - w_b) t},
+
+shared by all observables (for a pure state, psi_t = U e^{-i w t} U^dagger
+psi for many t from one product).  The grid is taken in blocks of
+TIME_BLOCK points, so memory does not grow with its length.  The Krylov
+backend steps the pure state through the sorted grid once and evaluates
+every observable at each step.
+:meth:`Propagator.evolve_density` and :meth:`Propagator.heisenberg` remain
+the per-time Schroedinger and Heisenberg oracles of the test suite.
 """
 
 from __future__ import annotations
@@ -13,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
+import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.special import logsumexp
@@ -23,6 +37,9 @@ from .states import OnSiteState, ProductMixture
 
 RECONSTRUCTION_TOL = 1e-10
 STATE_TOL = 1e-10
+#: Time points per batched product in the spectral backend; working memory
+#: is a few TIME_BLOCK x 4**N arrays whatever the length of the grid.
+TIME_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -63,11 +80,6 @@ class Propagator:
     @property
     def dim(self) -> int:
         return self.hamiltonian.shape[0]
-
-    def evolve_vector(self, psi: np.ndarray, t: float) -> np.ndarray:
-        """e^{-i t H} psi."""
-        u, w = self.eigenvectors, self.eigenvalues
-        return u @ (np.exp(-1j * t * w) * (u.conj().T @ psi))
 
     def evolve_density(self, dmat: np.ndarray, t: float) -> np.ndarray:
         """e^{-i t H} D e^{+i t H} (Schroedinger picture)."""
@@ -112,8 +124,16 @@ class GlobalState:
                 raise ValueError("density matrix is not Hermitian")
             if abs(np.trace(arr).real - 1.0) > STATE_TOL:
                 raise ValueError("density matrix trace is not 1")
-            if np.linalg.eigvalsh(arr).min() < -STATE_TOL:
-                raise ValueError("density matrix is not positive")
+            # D + tol*1 has a Cholesky factor iff the least eigenvalue of D
+            # exceeds -tol.  It is factorized in place, transposed: the
+            # Fortran-ordered view is conj(D + tol*1), with the same spectrum.
+            # check_finite stays on: the factorization can pass NaN entries.
+            shifted = arr.copy()
+            shifted[np.diag_indices(dim)] += STATE_TOL
+            try:
+                la.cholesky(shifted.T, overwrite_a=True)
+            except la.LinAlgError:
+                raise ValueError("density matrix is not positive") from None
         else:
             raise ValueError(f"unknown state kind {self.kind!r}")
         arr.setflags(write=False)
@@ -201,57 +221,86 @@ def _lift_observable(
     return a_op
 
 
+def _time_blocks(n_times: int):
+    """Slices of at most TIME_BLOCK time points covering a grid of n_times."""
+    return (slice(k, k + TIME_BLOCK) for k in range(0, n_times, TIME_BLOCK))
+
+
+def _pure_series(ops: Sequence, states: np.ndarray) -> np.ndarray:
+    """<psi_k|A|psi_k> for each observable A and each row psi_k of ``states``."""
+    cols = states.T
+    out = np.empty((len(ops), states.shape[0]), dtype=complex)
+    for j, a_op in enumerate(ops):
+        out[j] = np.einsum("dk,dk->k", cols.conj(), a_op @ cols)
+    return out
+
+
+def _mixed_series(
+    prop: Propagator, dmat: np.ndarray, ops: Sequence, times: np.ndarray
+) -> np.ndarray:
+    """Trace(A D_t) as a phase sum over the eigenbasis of the propagator."""
+    u, u_dag = prop.eigenvectors, prop.eigenvectors.conj().T
+    rho = u_dag @ dmat @ u
+    out = np.empty((len(ops), len(times)), dtype=complex)
+    for j, a_op in enumerate(ops):
+        weights = (u_dag @ (a_op @ u)).T * rho
+        for blk in _time_blocks(len(times)):
+            phases = np.exp(-1j * np.outer(times[blk], prop.eigenvalues))
+            out[j, blk] = np.einsum("tb,tb->t", phases @ weights, phases.conj())
+        # freed before the next A~ is built: two live weights cost 16 MB at N=5
+        del weights
+    return out
+
+
 def evolve_expectation(
     n_sites: int,
     params: model.ModelParams,
     initial: GlobalState,
-    a_op: Union[np.ndarray, sp.spmatrix],
+    observables: Sequence[Union[np.ndarray, sp.spmatrix]],
     times: Sequence[float],
     backend: str = "auto",
-    propagator: Optional[Propagator] = None,
 ) -> np.ndarray:
-    """Expectation series Trace(e^{itH} A e^{-itH} D) over the time grid.
+    """Series Trace(e^{itH} A e^{-itH} D) of each observable over the time grid.
 
-    ``a_op`` may be a full 4**N matrix or a 4x4 one-site matrix (placed at
-    site 0).  Backend "spectral" diagonalizes once; "krylov" steps a pure
-    state with sparse exponentials and is the only route at 6 sites.
+    Returns shape (len(observables), len(times)).  Each observable may be a
+    full 4**N matrix or a 4x4 one-site matrix (placed at site 0); a single
+    matrix must be wrapped as ``[op]``.  Backend "spectral" diagonalizes
+    once; "krylov" steps a pure state with sparse exponentials and is the
+    only route at 6 sites.
     """
     if initial.n_sites != n_sites:
         raise ValueError("initial state has the wrong site count")
+    if isinstance(observables, np.ndarray) or sp.issparse(observables):
+        raise TypeError("observables must be a sequence of matrices; wrap one as [op]")
+    ops = [_lift_observable(n_sites, a_op) for a_op in observables]
     times = np.asarray(times, dtype=float)
-    a_full = _lift_observable(n_sites, a_op)
     if backend == "auto":
         backend = propagation_backend(n_sites, initial.kind)
     if backend == "spectral":
         fock.check_site_count(n_sites, dense=True)
-        prop = propagator or Propagator.from_model(n_sites, params)
-        out = np.empty(len(times), dtype=complex)
-        if initial.kind == "pure":
-            for i, t in enumerate(times):
-                psi = prop.evolve_vector(initial.data, t)
-                out[i] = complex(np.vdot(psi, a_full @ psi))
-        else:
-            for i, t in enumerate(times):
-                dmat = prop.evolve_density(initial.density(), t)
-                if sp.issparse(a_full):
-                    out[i] = complex((a_full @ dmat).trace())
-                else:
-                    out[i] = complex(np.trace(a_full @ dmat))
+        prop = Propagator.from_model(n_sites, params)
+        if initial.kind == "mixed":
+            return _mixed_series(prop, initial.data, ops, times)
+        u = prop.eigenvectors
+        psi = u.conj().T @ initial.data
+        out = np.empty((len(ops), len(times)), dtype=complex)
+        for blk in _time_blocks(len(times)):
+            phases = np.exp(-1j * np.outer(times[blk], prop.eigenvalues))
+            out[:, blk] = _pure_series(ops, (phases * psi) @ u.T)
         return out
     if backend == "krylov":
         if initial.kind != "pure":
             raise CapacityError("the Krylov backend applies to pure states only")
         h = model.hamiltonian_sparse(n_sites, params)
-        order = np.argsort(times, kind="stable")
-        out = np.empty(len(times), dtype=complex)
-        psi = initial.data.copy()
+        out = np.empty((len(ops), len(times)), dtype=complex)
+        psi = initial.data
         t_now = 0.0
-        for idx in order:
+        for idx in np.argsort(times, kind="stable"):
             dt = float(times[idx]) - t_now
             if dt != 0.0:
                 psi = spla.expm_multiply((-1j * dt) * h, psi)
                 t_now = float(times[idx])
-            out[idx] = complex(np.vdot(psi, a_full @ psi))
+            out[:, idx] = [np.vdot(psi, a_op @ psi) for a_op in ops]
         return out
     raise ValueError(f"unknown backend {backend!r}")
 

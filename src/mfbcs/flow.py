@@ -45,10 +45,8 @@ from . import fock, model
 from .errors import NumericalAbortError, TruncationError
 from .states import HERMITICITY_TOL, TRACE_TOL, OnSiteState, ProductMixture
 
-_N_TOTAL = fock.N_UP + fock.N_DN
+_N_TOTAL = fock.SITE_OBSERVABLES["d"]
 _N_DIAG = np.diag(_N_TOTAL).real
-_M_OP = fock.N_UP - fock.N_DN
-_W_OP = fock.N_UP @ fock.N_DN
 
 
 @dataclass(frozen=True)
@@ -86,19 +84,17 @@ def _precession(params: model.ModelParams, d: float) -> float:
 
 def observables(params: model.ModelParams, rho: OnSiteState) -> SiteObservables:
     """Evaluate the observable record of Prop-style densities at one state."""
-    dmat = rho.matrix
-    d = float(np.trace(dmat @ _N_TOTAL).real)
-    m = float(np.trace(dmat @ _M_OP).real)
-    w = float(np.trace(dmat @ _W_OP).real)
-    z = complex(np.trace(dmat @ fock.PAIR))
+    d, m, w, z = (
+        complex(np.trace(rho.matrix @ op)) for op in fock.SITE_OBSERVABLES.values()
+    )
     return SiteObservables(
-        d=d,
-        m=m,
-        w=w,
+        d=d.real,
+        m=m.real,
+        w=w.real,
         z=z,
         kappa=abs(z) ** 2,
         theta=_phase(z),
-        nu=_precession(params, d),
+        nu=_precession(params, d.real),
     )
 
 

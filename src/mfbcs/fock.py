@@ -45,7 +45,7 @@ Krylov paths.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -90,6 +90,28 @@ PAIR: np.ndarray = A_DN @ A_UP
 #: Pair creator (a_dn a_up)^dagger = a+_up a+_dn.
 PAIR_DAG: np.ndarray = PAIR.conj().T
 IDENTITY_1: np.ndarray = np.eye(4, dtype=complex)
+
+#: The one-site observables tabulated by ``simulate`` and ``converge`` and
+#: compared with the mean-field flow: density d, magnetization m, double
+#: occupancy w and the Cooper-pair field z.  Placed at site 0 they need no
+#: parity string.
+SITE_OBSERVABLES: Dict[str, np.ndarray] = {
+    "d": N_UP + N_DN,
+    "m": N_UP - N_DN,
+    "w": N_UP @ N_DN,
+    "z": PAIR,
+}
+#: Real columns of the table; the complex pair field splits into quadratures.
+SITE_COLUMNS = ("d", "m", "w", "z_re", "z_im")
+
+
+def site_columns(series: Sequence) -> Dict[str, np.ndarray]:
+    """Real columns of (d, m, w, z) values given in SITE_OBSERVABLES order."""
+    d, m, w, z = series
+    return {
+        "d": np.real(d), "m": np.real(m), "w": np.real(w),
+        "z_re": np.real(z), "z_im": np.imag(z),
+    }
 
 
 def onsite_ops() -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

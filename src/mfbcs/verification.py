@@ -232,31 +232,18 @@ def convergence_table(
     double occupancy, and both pair-field quadratures, all on one site.
     """
     traj = flow_onsite(params, rho0, [t])
-    targets = {
-        "d": traj.d[0],
-        "m": traj.m[0],
-        "w": traj.w[0],
-        "z_re": traj.z[0].real,
-        "z_im": traj.z[0].imag,
-    }
-    obs = {
-        "d": (fock.N_UP + fock.N_DN, np.real),
-        "m": (fock.N_UP - fock.N_DN, np.real),
-        "w": (fock.N_UP @ fock.N_DN, np.real),
-        "z_re": (fock.PAIR, np.real),
-        "z_im": (fock.PAIR, np.imag),
-    }
+    targets = fock.site_columns((traj.d, traj.m, traj.w, traj.z))
     out: Dict[int, float] = {}
     for n in site_counts:
         initial = dynamics.product_state(n, rho0)
-        prop = dynamics.Propagator.from_model(n, params)
-        dev = 0.0
-        for name, (op, part) in obs.items():
-            series = dynamics.evolve_expectation(
-                n, params, initial, op, [t], propagator=prop
+        finite = fock.site_columns(
+            dynamics.evolve_expectation(
+                n, params, initial, fock.SITE_OBSERVABLES.values(), [t]
             )
-            dev = max(dev, abs(float(part(series[0])) - targets[name]))
-        out[n] = dev
+        )
+        out[n] = max(
+            abs(float(finite[c][0]) - float(targets[c][0])) for c in fock.SITE_COLUMNS
+        )
     return out
 
 
