@@ -55,7 +55,8 @@ class ModelParams:
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
 
 
-def _density_matrix(rho: StateLike) -> np.ndarray:
+def density_matrix(rho: StateLike) -> np.ndarray:
+    """The 4x4 matrix of an on-site state, or the array itself as complex."""
     return rho.matrix if isinstance(rho, OnSiteState) else np.asarray(rho, dtype=complex)
 
 
@@ -117,10 +118,12 @@ def effective_hamiltonian(params: ModelParams, rho: StateLike) -> np.ndarray:
     """State-dependent one-site generator of the mean-field flow.
 
     dh(rho) = h0 - gamma ( P+ rho(P) + rho(P+) P )  with  P = a_dn a_up.
-    Hermitian; reduces to h0 whenever rho(a_dn a_up) = 0.
+    Hermitian; reduces to h0 whenever rho(a_dn a_up) = 0.  ``rho`` may also
+    be a stack (..., 4, 4) of density matrices; the generators then come
+    back stacked the same way.
     """
-    d = _density_matrix(rho)
-    z = complex(np.trace(d @ fock.PAIR))
+    d = density_matrix(rho)
+    z = np.trace(d @ fock.PAIR, axis1=-2, axis2=-1)[..., None, None]
     return onsite_h(params) - params.gamma * (
         z * fock.PAIR_DAG + np.conj(z) * fock.PAIR
     )
@@ -256,7 +259,7 @@ def approximating_interaction(model: MeanFieldModel, rho: StateLike) -> Interact
     :func:`effective_hamiltonian`.  Only the translation-invariant (single
     site cell) average is implemented.
     """
-    d = _density_matrix(rho)
+    d = density_matrix(rho)
     op = model.short_range.site_operator.copy()
     for term in model.mean_field_terms:
         expectations = [complex(np.trace(d @ f.site_operator)) for f in term.factors]

@@ -464,7 +464,7 @@ def check_dyson(seed: int = 0) -> CheckResult:
     def body():
         rng = np.random.default_rng(seed + 12)
         t = 0.1
-        worst = 0.0
+        worst = remainder = quad_err = 0.0
         for _ in range(10):
             params = _seeded_params(rng)
             rho0 = OnSiteState.random_even(rng)
@@ -476,7 +476,13 @@ def check_dyson(seed: int = 0) -> CheckResult:
             series = dyson_phillips(params, drive, t, order=8, a_op=a)
             reference = (t_prop @ a.ravel()).reshape(4, 4)
             worst = max(worst, float(np.max(np.abs(series.operator - reference))))
-        return worst < 1e-8, worst, 1e-8, "order 8, t = 0.1, 10 seeded drives"
+            remainder = max(remainder, series.remainder_bound)
+            quad_err = max(quad_err, series.quadrature_error)
+        detail = (
+            f"order 8, t = 0.1, 10 seeded drives; worst remainder bound {remainder:.2e}, "
+            f"worst quadrature error {quad_err:.2e}"
+        )
+        return worst < 1e-8, worst, 1e-8, detail
 
     return _timed(body, "dyson-series")
 

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import cumulative_simpson
 
-from mfbcs import classical, fock, model
+from mfbcs import classical, flow, fock, model
 from mfbcs.errors import TruncationError
 from mfbcs.flow import (
     ClosedFormFlow,
@@ -281,3 +282,62 @@ def test_dyson_truncation_error_raised(rng):
     with pytest.raises(TruncationError):
         dyson_phillips(params, lambda s: rho, 5.0, 2, fock.PAIR_DAG + fock.PAIR, tol=1e-8)
 
+
+def test_dyson_truncation_error_before_quadrature(monkeypatch):
+    # the remainder bound needs only the generator norms: no quadrature runs
+    def no_quadrature(*_args):
+        raise AssertionError("quadrature ran before the truncation check")
+
+    monkeypatch.setattr(flow, "_cumulative_simpson", no_quadrature)
+    params = model.ModelParams(mu=1.0, h=0.5, lam=1.0, gamma=2.0)
+    rho = OnSiteState.pair_superposition(0.7)
+    with pytest.raises(TruncationError):
+        dyson_phillips(params, lambda s: rho, 5.0, 2, fock.PAIR_DAG + fock.PAIR, tol=1e-8)
+
+
+def test_dyson_argument_validation():
+    params = model.ModelParams()
+    drive = lambda s: OnSiteState.vacuum()  # noqa: E731
+    a = np.eye(4, dtype=complex)
+    with pytest.raises(ValueError, match="order"):
+        dyson_phillips(params, drive, 0.1, 0, a)
+    with pytest.raises(ValueError, match="n_nodes"):
+        dyson_phillips(params, drive, 0.1, 4, a, n_nodes=0)
+    with pytest.raises(ValueError, match="4x4"):
+        dyson_phillips(params, drive, 0.1, 4, np.eye(3))
+
+
+@pytest.mark.parametrize("t, n_nodes", [(-0.1, 512), (0.1, 33)])
+def test_dyson_backward_and_odd_grid_vs_ode(rng, t, n_nodes):
+    # backward time (a negative quadrature step), and an odd number of
+    # coarse intervals (33; the fine level has 66)
+    params = random_params(rng)
+    rho0 = OnSiteState.random_even(rng)
+    traj = flow_onsite(params, rho0, [0.0, t])
+    a = (fock.PAIR + fock.PAIR_DAG).astype(complex)
+    res = dyson_phillips(params, traj.state_matrix, t, 8, a, n_nodes=n_nodes)
+    ref = (heisenberg_propagator_ode(params, traj.state_matrix, t) @ a.ravel()).reshape(4, 4)
+    assert np.max(np.abs(res.operator - ref)) < 1e-10
+    assert 0.0 < res.remainder_bound < 1e-10
+    assert 0.0 < res.quadrature_error < 1e-8
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 513, 1025])
+def test_cumulative_simpson_matches_scipy(n):
+    rng = np.random.default_rng(n)
+    y = rng.standard_normal((n, 16, 16)) + 1j * rng.standard_normal((n, 16, 16))
+
+    def scipy_complex(**spacing):
+        kw = dict(axis=0, initial=0.0, **spacing)
+        return cumulative_simpson(y.real, **kw) + 1j * cumulative_simpson(y.imag, **kw)
+
+    for t in (0.1, -0.1):
+        got = flow._cumulative_simpson(y, t / (n - 1))
+        if t > 0:
+            # scipy's x= path takes the rounded interval widths of the grid
+            # and needs increasing x
+            ref = scipy_complex(x=np.linspace(0.0, t, n))
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        ref = scipy_complex(dx=t / (n - 1))
+        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
