@@ -11,7 +11,7 @@ is an operator-valued gradient centered so that rho(Df(rho)) = 0, and
 
 is a Poisson bracket on polynomial observables.  The mean-field flow is
 Hamiltonian for this bracket with the quadratic energy function
-h(rho) = rho(h0) - gamma |rho(a_dn a_up)|**2; ``liouville_residual``
+h(rho) = rho(h0) - gamma |rho(a_dn a_up)|**2; ``liouville_residuals``
 measures how well d/dt f(flow) matches {h, f(flow)} numerically.
 
 Projecting a state to (Re z, Im z, shifted density) turns the flow into the
@@ -30,19 +30,14 @@ import numpy as np
 
 from . import fock, model
 from .flow import ClosedFormFlow, flow_onsite
+from .model import StateLike
 from .states import OnSiteState
-
-StateLike = Union[OnSiteState, np.ndarray]
 
 #: Self-adjoint quadratures of the pair field: expectations 2 Re z and 2 Im z.
 PAIR_X: np.ndarray = fock.PAIR + fock.PAIR_DAG
 PAIR_Y: np.ndarray = 1j * (fock.PAIR_DAG - fock.PAIR)
 
 HERMITIAN_TOL = 1e-12
-
-
-def _dmat(rho: StateLike) -> np.ndarray:
-    return rho.matrix if isinstance(rho, OnSiteState) else np.asarray(rho, dtype=complex)
 
 
 def _check_operators(operators: Sequence[np.ndarray]) -> Tuple[np.ndarray, ...]:
@@ -83,7 +78,7 @@ class CylindricalFunction:
         return len(self.operators)
 
     def arguments(self, rho: StateLike) -> np.ndarray:
-        d = _dmat(rho)
+        d = model.density_matrix(rho)
         return np.array([np.trace(d @ a).real for a in self.operators])
 
     def __call__(self, rho: StateLike) -> complex:
@@ -150,7 +145,7 @@ class PolynomialFunction:
         return len(self.operators)
 
     def arguments(self, rho: StateLike) -> np.ndarray:
-        d = _dmat(rho)
+        d = model.density_matrix(rho)
         return np.array([np.trace(d @ a).real for a in self.operators])
 
     def g(self, x: np.ndarray) -> complex:
@@ -207,7 +202,7 @@ PhaseFunction = Union[CylindricalFunction, PolynomialFunction]
 
 def convex_derivative(f: PhaseFunction, rho: StateLike) -> np.ndarray:
     """Centered operator-valued gradient; rho(convex_derivative(f, rho)) = 0."""
-    d = _dmat(rho)
+    d = model.density_matrix(rho)
     x = f.arguments(d)
     grad = f.gradient_args(x)
     out = np.zeros((4, 4), dtype=complex)
@@ -219,7 +214,7 @@ def convex_derivative(f: PhaseFunction, rho: StateLike) -> np.ndarray:
 
 def poisson_bracket(f: PhaseFunction, g: PhaseFunction, rho: StateLike) -> complex:
     """{f, g}(rho) = rho(i [Df(rho), Dg(rho)]); antisymmetric and Leibniz."""
-    d = _dmat(rho)
+    d = model.density_matrix(rho)
     df = convex_derivative(f, d)
     dg = convex_derivative(g, d)
     return complex(np.trace(d @ (1j * (df @ dg - dg @ df))))
@@ -379,17 +374,6 @@ def liouville_residuals(
     return out
 
 
-def liouville_residual(
-    params: model.ModelParams,
-    f: PhaseFunction,
-    rho0: OnSiteState,
-    t: float,
-    fd_step: float = 1e-4,
-) -> LiouvilleResult:
-    """Single-observable convenience wrapper around :func:`liouville_residuals`."""
-    return liouville_residuals(params, {"f": f}, rho0, t, fd_step)["f"]
-
-
 # ---------------------------------------------------------------------------
 # Symmetric rotor reduction
 # ---------------------------------------------------------------------------
@@ -421,14 +405,14 @@ def rotor_map(params: model.ModelParams, rho: StateLike) -> RotorState:
     precession frequency 2(mu - lam) + gamma (1 - d); the image lives in the
     solid cylinder |omega_12| <= 1 with omega3 within gamma of 2(mu - lam).
     """
-    d = _dmat(rho)
+    d = model.density_matrix(rho)
     z = complex(np.trace(d @ fock.PAIR))
     dens = float(np.trace(d @ (fock.N_UP + fock.N_DN)).real)
-    omega3 = 2.0 * (params.mu - params.lam) + params.gamma * (1.0 - dens)
+    omega3 = model.precession(params, dens)
     state = RotorState(omega1=z.real, omega2=z.imag, omega3=omega3)
     if state.planar_norm2 > 1.0 + _ROTOR_SLACK:
         raise ValueError(f"rotor coordinates leave the unit disc: {state}")
-    center = 2.0 * (params.mu - params.lam)
+    center = model.precession(params, 1.0)
     if abs(omega3 - center) > params.gamma + _ROTOR_SLACK:
         raise ValueError(f"omega3 = {omega3} outside the admissible band")
     return state

@@ -84,7 +84,13 @@ def _fail(path: str, message: str) -> ConfigError:
 def _as_float(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _fail(path, f"expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise _fail(path, f"expected a finite number, got {value!r}")
+    return number
 
 
 def _as_int(value, path: str) -> int:

@@ -23,7 +23,7 @@ the per-time Schroedinger and Heisenberg oracles of the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 import scipy.linalg as la
@@ -306,38 +306,22 @@ def evolve_expectation(
 
 
 def gibbs_state(
-    n_sites: int,
-    params: model.ModelParams,
-    spec: GibbsSpec,
-    c: Optional[complex] = None,
+    n_sites: int, params: model.ModelParams, spec: GibbsSpec
 ) -> GlobalState:
-    """Thermal state of H_N (or of the pair-field-decoupled H_N(c) if c given)."""
+    """Thermal state of H_N."""
     fock.check_site_count(n_sites, dense=True)
-    if c is None:
-        h = model.hamiltonian(n_sites, params)
-        origin = "gibbs"
-    else:
-        h = model.approximating_hamiltonian(n_sites, params, c)
-        origin = "gibbs-approx"
-    prop = Propagator.from_matrix(h)
+    prop = Propagator.from_matrix(model.hamiltonian(n_sites, params))
     return GlobalState(
-        n_sites=n_sites, kind="mixed", data=prop.gibbs_density(spec.beta), origin=origin
+        n_sites=n_sites, kind="mixed", data=prop.gibbs_density(spec.beta), origin="gibbs"
     )
 
 
 def pressure_fv(
-    n_sites: int,
-    params: model.ModelParams,
-    spec: GibbsSpec,
-    c: Optional[complex] = None,
+    n_sites: int, params: model.ModelParams, spec: GibbsSpec
 ) -> float:
     """Finite-volume pressure (beta N)^{-1} ln Trace e^{-beta H}."""
     fock.check_site_count(n_sites, dense=True)
-    if c is None:
-        h = model.hamiltonian(n_sites, params)
-    else:
-        h = model.approximating_hamiltonian(n_sites, params, c)
-    w = np.linalg.eigvalsh(h)
+    w = np.linalg.eigvalsh(model.hamiltonian(n_sites, params))
     return float(logsumexp(-spec.beta * w) / (spec.beta * n_sites))
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Union
 
 import numpy as np
 from scipy.optimize import brentq
@@ -28,33 +28,22 @@ from . import dynamics, fock, model
 from .flow import observables
 from .states import OnSiteState, ProductMixture
 
-_PAIR_SUM = fock.PAIR + fock.PAIR_DAG
 
-
-def _one_site_matrix(params: model.ModelParams, c: complex) -> np.ndarray:
-    return model.onsite_h(params) - params.gamma * (
-        c * fock.PAIR_DAG + np.conj(c) * fock.PAIR
-    )
-
-
-def pressure_onsite(params: model.ModelParams, beta: float, c: complex) -> float:
+def pressure_onsite(
+    params: model.ModelParams, beta: float, c: Union[complex, np.ndarray]
+) -> Union[float, np.ndarray]:
     """Limit pressure of the decoupled Hamiltonian: one-site free energy.
 
     Because the decoupled Hamiltonian is a sum of shifts of one operator,
     this equals the finite-volume pressure at every site count; it depends
-    on c only through |c|.
+    on c only through |c|.  A scalar c gives a float, an array of c an
+    array of the same shape.
     """
     if beta <= 0:
         raise ValueError("beta must be > 0")
-    w = np.linalg.eigvalsh(_one_site_matrix(params, c))
-    return float(logsumexp(-beta * w) / beta)
-
-
-def _pressure_batch(params: model.ModelParams, beta: float, rs: np.ndarray) -> np.ndarray:
-    h0 = model.onsite_h(params)
-    mats = h0[None, :, :] - params.gamma * rs[:, None, None] * _PAIR_SUM[None, :, :]
-    w = np.linalg.eigvalsh(mats)
-    return logsumexp(-beta * w, axis=1) / beta
+    w = np.linalg.eigvalsh(model.decoupled_hamiltonian(params, c))
+    p = logsumexp(-beta * w, axis=-1) / beta
+    return float(p) if np.ndim(c) == 0 else p
 
 
 def _pair_expectation_at(params: model.ModelParams, beta: float, r: float) -> float:
@@ -112,7 +101,7 @@ def gap_solve(
         raise ValueError("beta must be > 0")
     cfg = cfg or GapSolverConfig()
     rs = np.linspace(0.0, 1.0, cfg.grid_points)
-    f = -params.gamma * rs**2 + _pressure_batch(params, beta, rs)
+    f = -params.gamma * rs**2 + pressure_onsite(params, beta, rs)
     fmax = float(f.max())
     tie_tol = 1e-12 * max(1.0, abs(fmax))
     candidates = np.nonzero(f >= fmax - tie_tol)[0]
@@ -153,7 +142,7 @@ def approx_gibbs_onsite(
     """
     if beta <= 0:
         raise ValueError("beta must be > 0")
-    w, u = np.linalg.eigh(_one_site_matrix(params, d))
+    w, u = np.linalg.eigh(model.decoupled_hamiltonian(params, d))
     weights = np.exp(-beta * (w - w.min()))
     weights /= weights.sum()
     return OnSiteState.from_matrix((u * weights) @ u.conj().T)
@@ -163,7 +152,7 @@ def approx_gibbs_onsite(
 class DensityCheckResult:
     applicable: bool
     lhs: float  # d at the gap solution
-    rhs: float  # 1 + 2 (mu - lam) / gamma
+    rhs: float  # 1 + nu(d=1) / gamma = 1 + 2 (mu - lam) / gamma
     passed: Optional[bool]
 
 
@@ -180,7 +169,7 @@ def superconducting_density_check(
     if params.gamma == 0.0:
         raise ValueError("density identity needs gamma > 0")
     sol = gap_solve(params, beta, cfg)
-    rhs = 1.0 + 2.0 * (params.mu - params.lam) / params.gamma
+    rhs = 1.0 + model.precession(params, 1.0) / params.gamma
     if not sol.superconducting:
         return DensityCheckResult(applicable=False, lhs=sol.density_at_solution, rhs=rhs, passed=None)
     lhs = sol.density_at_solution

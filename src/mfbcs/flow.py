@@ -80,10 +80,6 @@ def _phase(z: complex) -> float:
     return -math.pi if theta == math.pi else theta
 
 
-def _precession(params: model.ModelParams, d: float) -> float:
-    return 2.0 * (params.mu - params.lam) + params.gamma * (1.0 - d)
-
-
 def observables(params: model.ModelParams, rho: OnSiteState) -> SiteObservables:
     """Evaluate the observable record of Prop-style densities at one state."""
     d, m, w, z = (
@@ -96,7 +92,7 @@ def observables(params: model.ModelParams, rho: OnSiteState) -> SiteObservables:
         z=z,
         kappa=abs(z) ** 2,
         theta=_phase(z),
-        nu=_precession(params, d.real),
+        nu=model.precession(params, d.real),
     )
 
 
@@ -127,7 +123,7 @@ class ClosedFormFlow:
             or abs(np.trace(d0) - 1.0) > TRACE_TOL
         ):
             raise ValueError("the closed-form flow needs a Hermitian trace-1 seed")
-        nu = _precession(params, float(np.trace(d0 @ _N_TOTAL).real))
+        nu = model.precession(params, float(np.trace(d0 @ _N_TOTAL).real))
         energies, basis = np.linalg.eigh(
             model.effective_hamiltonian(params, d0) + 0.5 * nu * _N_TOTAL
         )
@@ -319,12 +315,6 @@ class MixtureTrajectory:
             )
         return out
 
-    def density_matrix(self, index: int) -> np.ndarray:
-        return sum(
-            u * traj.states[index].matrix
-            for u, traj in zip(self.weights, self.components)
-        )
-
 
 def mixture_flow(
     params: model.ModelParams,
@@ -346,7 +336,7 @@ def mixture_flow(
     w = sum(ui * t.w for ui, t in zip(u, trajs))
     z = sum(ui * t.z for ui, t in zip(u, trajs))
     theta = np.array([_phase(zi) for zi in z])
-    nu = _precession(params, d)
+    nu = model.precession(params, d)
     return MixtureTrajectory(
         times=times,
         weights=mix.weights,

@@ -114,11 +114,6 @@ def site_columns(series: Sequence) -> Dict[str, np.ndarray]:
     }
 
 
-def onsite_ops() -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Return fresh copies of (a_up, a_dn, n_up, n_dn, parity) as 4x4 complex arrays."""
-    return (A_UP.copy(), A_DN.copy(), N_UP.copy(), N_DN.copy(), PARITY_1.copy())
-
-
 def check_site_count(n_sites: int, dense: bool = True) -> None:
     """Validate a site count against the capacity limits.
 

@@ -10,6 +10,12 @@ for N lattice sites.  Because the model is permutation invariant only the
 site count matters, so all builders take N directly (a cubic box of side L
 in d dimensions corresponds to N = (2L+1)**d).
 
+The one-site algebra that the mean-field flow and the equilibrium theory
+share is defined here once: the decoupled operator h0 - gamma (c P+ + cbar P)
+(:func:`decoupled_hamiltonian`), the flow generator at the state's own
+Cooper field (:func:`effective_hamiltonian`) and the rotation frequency nu
+of that field (:func:`precession`).
+
 The mean-field term is encoded as an atomic two-factor term of weight
 -gamma on the pair (pair-creator interaction, pair-annihilator
 interaction); general (non-atomic) measures are out of scope and cannot be
@@ -49,10 +55,26 @@ class ModelParams:
     gamma: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("mu", "h", "lam", "gamma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.lam < 0:
             raise ValueError(f"lam must be >= 0, got {self.lam}")
         if self.gamma < 0:
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
+
+    @classmethod
+    def random(cls, rng: np.random.Generator, gamma_max: float = 2.0) -> "ModelParams":
+        """Seeded draw: mu, h uniform on (-1, 1), lam on (0, 1), gamma on (0, gamma_max).
+
+        The four draws are made in that order from ``rng``.
+        """
+        return cls(
+            mu=float(rng.uniform(-1.0, 1.0)),
+            h=float(rng.uniform(-1.0, 1.0)),
+            lam=float(rng.uniform(0.0, 1.0)),
+            gamma=float(rng.uniform(0.0, gamma_max)),
+        )
 
 
 def density_matrix(rho: StateLike) -> np.ndarray:
@@ -91,42 +113,38 @@ def hamiltonian(n_sites: int, params: ModelParams) -> np.ndarray:
     return hamiltonian_sparse(n_sites, params).toarray()
 
 
-def approximating_hamiltonian_sparse(
-    n_sites: int, params: ModelParams, c: complex
-) -> sp.csr_matrix:
-    """Sum of shifted copies of the one-site operator h0 - gamma (c P+ + cbar P)."""
-    fock.check_site_count(n_sites, dense=False)
-    h_site = (
-        onsite_h(params)
-        - params.gamma * (c * fock.PAIR_DAG + np.conj(c) * fock.PAIR)
-    )
-    out = sp.csr_matrix((4**n_sites, 4**n_sites), dtype=complex)
-    for x in range(n_sites):
-        out = out + fock.embed_local(n_sites, x, h_site)
-    return out.tocsr()
+def decoupled_hamiltonian(params: ModelParams, c: Union[complex, np.ndarray]) -> np.ndarray:
+    """The pair-field-decoupled one-site operator h0 - gamma (c P+ + cbar P).
 
-
-def approximating_hamiltonian(
-    n_sites: int, params: ModelParams, c: complex
-) -> np.ndarray:
-    """Dense pair-field-decoupled Hamiltonian H_N(c)."""
-    fock.check_site_count(n_sites, dense=True)
-    return approximating_hamiltonian_sparse(n_sites, params, c).toarray()
+    P = a_dn a_up.  With c the state's own Cooper field rho(P) this is the
+    generator of the mean-field flow (:func:`effective_hamiltonian`); with c
+    a variational order parameter it gives the one-site pressure and the
+    gap equation.  ``c`` may be an array; the operators then come back
+    stacked, with shape ``np.shape(c) + (4, 4)``.
+    """
+    c = np.asarray(c)[..., None, None]
+    return onsite_h(params) - params.gamma * (c * fock.PAIR_DAG + np.conj(c) * fock.PAIR)
 
 
 def effective_hamiltonian(params: ModelParams, rho: StateLike) -> np.ndarray:
     """State-dependent one-site generator of the mean-field flow.
 
-    dh(rho) = h0 - gamma ( P+ rho(P) + rho(P+) P )  with  P = a_dn a_up.
-    Hermitian; reduces to h0 whenever rho(a_dn a_up) = 0.  ``rho`` may also
-    be a stack (..., 4, 4) of density matrices; the generators then come
-    back stacked the same way.
+    dh(rho) = h0 - gamma ( P+ rho(P) + rho(P+) P ), the decoupled operator
+    at c = rho(P).  Hermitian; reduces to h0 whenever rho(a_dn a_up) = 0.
+    ``rho`` may also be a stack (..., 4, 4) of density matrices; the
+    generators then come back stacked the same way.
     """
     d = density_matrix(rho)
-    z = np.trace(d @ fock.PAIR, axis1=-2, axis2=-1)[..., None, None]
-    return onsite_h(params) - params.gamma * (
-        z * fock.PAIR_DAG + np.conj(z) * fock.PAIR
-    )
+    return decoupled_hamiltonian(params, np.trace(d @ fock.PAIR, axis1=-2, axis2=-1))
+
+
+def precession(params: ModelParams, d: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
+    """Rotation frequency nu = 2(mu - lam) + gamma (1 - d) of the Cooper field.
+
+    Along the mean-field flow rho(a_dn a_up) rotates rigidly at this rate,
+    fixed by the conserved density d; ``d`` may be an array.
+    """
+    return 2.0 * (params.mu - params.lam) + params.gamma * (1.0 - d)
 
 
 # ---------------------------------------------------------------------------

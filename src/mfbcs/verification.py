@@ -70,15 +70,6 @@ def _timed(fn: Callable[[], Tuple[bool, float, float, str]], name: str) -> Check
     )
 
 
-def _seeded_params(rng: np.random.Generator, gamma_max: float = 2.0) -> model.ModelParams:
-    return model.ModelParams(
-        mu=float(rng.uniform(-1.0, 1.0)),
-        h=float(rng.uniform(-1.0, 1.0)),
-        lam=float(rng.uniform(0.0, 1.0)),
-        gamma=float(rng.uniform(0.0, gamma_max)),
-    )
-
-
 # --- 1. CAR exactness ------------------------------------------------------
 
 
@@ -104,7 +95,7 @@ def _prop1_suite(
     times = np.linspace(0.0, 10.0, 41)
     out = []
     for _ in range(50):
-        params = _seeded_params(rng)
+        params = model.ModelParams.random(rng)
         rho0 = OnSiteState.random_even(rng)
         out.append(
             (
@@ -195,7 +186,7 @@ def check_interference(seed: int = 0) -> CheckResult:
         times = np.linspace(0.0, 3.0, 31)
         worst = 0.0
         for _ in range(20):
-            params = _seeded_params(rng)
+            params = model.ModelParams.random(rng)
             n_comp = int(rng.integers(2, 5))
             weights = rng.dirichlet(np.ones(n_comp))
             comps = [
@@ -315,7 +306,7 @@ def check_liouville(seed: int = 0) -> CheckResult:
         suite = classical.polynomial_suite()
         worst = 0.0
         for _ in range(20):
-            params = _seeded_params(rng)
+            params = model.ModelParams.random(rng)
             rho0 = OnSiteState.random_even(rng)
             for t in (0.0, 0.5, 1.0):
                 results = classical.liouville_residuals(params, suite, rho0, t)
@@ -466,7 +457,7 @@ def check_dyson(seed: int = 0) -> CheckResult:
         t = 0.1
         worst = remainder = quad_err = 0.0
         for _ in range(10):
-            params = _seeded_params(rng)
+            params = model.ModelParams.random(rng)
             rho0 = OnSiteState.random_even(rng)
             traj = flow_onsite(params, rho0, [0.0, t])
             drive = traj.state_matrix
@@ -496,7 +487,7 @@ def check_energy_bound(seed: int = 0) -> CheckResult:
         norm_params = model.NormParams()
         worst_margin = -np.inf
         for _ in range(10):
-            params = _seeded_params(rng, gamma_max=3.0)
+            params = model.ModelParams.random(rng, gamma_max=3.0)
             for n in range(1, 5):
                 res = model.energy_bound_check(n, params, norm_params)
                 if not res.passed:

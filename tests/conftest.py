@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
-from mfbcs import model
-from mfbcs.states import OnSiteState
+from mfbcs import fock, model
 
 
 @pytest.fixture
@@ -10,14 +10,13 @@ def rng():
     return np.random.default_rng(12345)
 
 
-def random_params(rng, gamma_max=2.0):
-    return model.ModelParams(
-        mu=float(rng.uniform(-1, 1)),
-        h=float(rng.uniform(-1, 1)),
-        lam=float(rng.uniform(0, 1)),
-        gamma=float(rng.uniform(0, gamma_max)),
-    )
+def decoupled_hamiltonian_n(n_sites, params, c):
+    """Dense H_N(c) = sum_x of the decoupled one-site operator at site x."""
+    h_site = model.decoupled_hamiltonian(params, c)
+    return sum(fock.embed_local(n_sites, x, h_site) for x in range(n_sites)).toarray()
 
 
-def random_even_state(rng):
-    return OnSiteState.random_even(rng)
+def decoupled_pressure_n(n_sites, params, spec, c):
+    """(beta N)^{-1} ln Trace e^{-beta H_N(c)}, the pressure of the decoupled H_N(c)."""
+    w = np.linalg.eigvalsh(decoupled_hamiltonian_n(n_sites, params, c))
+    return float(logsumexp(-spec.beta * w) / (spec.beta * n_sites))

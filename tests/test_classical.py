@@ -13,7 +13,6 @@ from mfbcs.classical import (
     condensate_polynomial,
     convex_derivative,
     even_traceless_basis,
-    liouville_residual,
     liouville_residuals,
     poisson_bracket,
     polynomial_suite,
@@ -23,7 +22,6 @@ from mfbcs.classical import (
 from mfbcs.flow import flow_onsite, observables
 from mfbcs.states import OnSiteState
 
-from conftest import random_params
 
 
 def test_even_basis_orthonormal():
@@ -112,7 +110,7 @@ def test_bracket_against_direct_trace(rng):
 
 
 def test_classical_hamiltonian_derivative(rng):
-    params = random_params(rng)
+    params = model.ModelParams.random(rng)
     h_fn = classical_hamiltonian(params)
     rho = OnSiteState.random_even(rng)
     z = rho.pair_expectation()
@@ -144,7 +142,7 @@ def test_conservation_via_bracket(rng):
     suite = polynomial_suite()
     conserved = ("density", "magnetization", "double_occupancy", "condensate")
     for _ in range(10):
-        params = random_params(rng)
+        params = model.ModelParams.random(rng)
         h_fn = classical_hamiltonian(params)
         rho = OnSiteState.random_even(rng)
         for name in conserved:
@@ -152,7 +150,7 @@ def test_conservation_via_bracket(rng):
 
 
 def test_liouville_conserved_observables(rng):
-    params = random_params(rng)
+    params = model.ModelParams.random(rng)
     rho0 = OnSiteState.random_even(rng)
     suite = polynomial_suite()
     res = liouville_residuals(
@@ -168,19 +166,19 @@ def test_liouville_conserved_observables(rng):
 
 def test_liouville_pair_quadrature_at_zero(rng):
     # d/dt Re z at t = 0 equals -nu Im z0
-    params = random_params(rng)
+    params = model.ModelParams.random(rng)
     rho0 = OnSiteState.random_even(rng)
     rec = observables(params, rho0)
-    res = liouville_residual(params, polynomial_suite()["pair_re"], rho0, 0.0)
+    res = liouville_residuals(params, {"f": polynomial_suite()["pair_re"]}, rho0, 0.0)["f"]
     assert abs(res.lhs - (-rec.nu * rec.z.imag)) < 1e-6
     assert res.residual < 1e-6
 
 
 def test_liouville_fd_step_guard(rng):
-    params = random_params(rng)
+    params = model.ModelParams.random(rng)
     rho0 = OnSiteState.random_even(rng)
     with pytest.raises(ValueError):
-        liouville_residual(params, polynomial_suite()["density"], rho0, 0.5, fd_step=1e-13)
+        liouville_residuals(params, {"f": polynomial_suite()["density"]}, rho0, 0.5, fd_step=1e-13)
 
 
 def test_rotor_map_examples():
@@ -217,7 +215,7 @@ def test_rotor_norm_conserved():
 def test_rotor_commuting_diagram(rng):
     times = np.linspace(0.0, 5.0, 11)
     for _ in range(3):
-        params = random_params(rng)
+        params = model.ModelParams.random(rng)
         rho0 = OnSiteState.random_even(rng)
         traj = flow_onsite(params, rho0, times)
         rotor = rotor_flow(rotor_map(params, rho0), times)

@@ -305,3 +305,38 @@ def test_main_output_error_exit_code(tmp_path, capsys):
     cfg.write_text("gamma: 2.0\n")
     assert cli.main(["gap", "--config", str(cfg), "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("gap", "gamma: .nan\n"),
+        ("gap", "mu: .nan\ngamma: 2.0\n"),
+        ("flow", "gamma: .nan\n"),
+        ("simulate", "mu: .nan\nsites: [2]\n"),
+        ("gap", "gamma: 2.0\nbeta: .inf\n"),
+        ("flow", "times: {start: 0.0, stop: .inf, step: 0.1}\n"),
+        ("liouville", "gamma: 1.0\nfd_step: .inf\n"),
+        ("scan", "scan: {gamma: [.nan]}\n"),
+        (
+            "flow",
+            "mixture:\n  - {weight: .nan, state: {kind: vacuum}}\n"
+            "  - {weight: 1.0, state: {kind: mixed}}\n",
+        ),
+        ("gap", "gamma: 1" + "0" * 400 + "\n"),
+    ],
+    ids=[
+        "gap-gamma-nan", "gap-mu-nan", "flow-gamma-nan", "simulate-mu-nan",
+        "gap-beta-inf", "flow-stop-inf", "liouville-fd_step-inf", "scan-gamma-nan",
+        "flow-weight-nan", "gap-gamma-int-overflow",
+    ],
+)
+def test_main_rejects_non_finite_numbers(tmp_path, capsys, command, text):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(text)
+    out = tmp_path / "out.csv"
+    assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config field '") and "finite" in err
+    assert "Traceback" not in err
+    assert not out.exists()

@@ -9,7 +9,7 @@ from mfbcs import dynamics, fock, model
 from mfbcs.errors import CapacityError
 from mfbcs.states import OnSiteState, ProductMixture
 
-from conftest import random_params
+from conftest import decoupled_hamiltonian_n, decoupled_pressure_n
 from test_model import PRESSURE_N2_ORACLE
 
 
@@ -52,7 +52,7 @@ def test_product_mixture_state(rng):
 
 
 def test_identity_expectation_constant(rng):
-    params = random_params(rng)
+    params = model.ModelParams.random(rng)
     rho = OnSiteState.random_even(rng)
     initial = dynamics.product_state(2, rho)
     series = dynamics.evolve_expectation(
@@ -111,7 +111,7 @@ def test_single_site_against_independent_ode(rng):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_heisenberg_equals_schroedinger(n, rng):
-    params = random_params(rng)
+    params = model.ModelParams.random(rng)
     prop = dynamics.Propagator.from_model(n, params)
     rho = OnSiteState.random_even(rng)
     initial = dynamics.product_state(n, rho)
@@ -123,7 +123,7 @@ def test_heisenberg_equals_schroedinger(n, rng):
 
 
 def test_evolution_preserves_state_and_energy(rng):
-    params = random_params(rng)
+    params = model.ModelParams.random(rng)
     prop = dynamics.Propagator.from_model(3, params)
     rho = OnSiteState.random_even(rng)
     d0 = dynamics.product_state(3, rho).density()
@@ -158,8 +158,12 @@ def test_gibbs_with_field_is_product():
     params = model.ModelParams(mu=0.2, gamma=1.5)
     spec = dynamics.GibbsSpec(beta=0.9)
     c = 0.3 + 0.4j
-    two = dynamics.gibbs_state(2, params, spec, c=c).density()
-    one = dynamics.gibbs_state(1, params, spec, c=c).density()
+
+    def gibbs(n):
+        h = decoupled_hamiltonian_n(n, params, c)
+        return dynamics.Propagator.from_matrix(h).gibbs_density(spec.beta)
+
+    two, one = gibbs(2), gibbs(1)
     assert np.max(np.abs(two - np.kron(one, one))) < 1e-12
 
 
@@ -173,8 +177,7 @@ def test_pressure_with_field_independent_of_n():
     params = model.ModelParams(mu=0.3, h=0.1, lam=0.2, gamma=1.1)
     spec = dynamics.GibbsSpec(beta=1.4)
     c = 0.25 - 0.1j
-    p1 = dynamics.pressure_fv(1, params, spec, c=c)
-    p3 = dynamics.pressure_fv(3, params, spec, c=c)
+    p1, p3 = (decoupled_pressure_n(n, params, spec, c) for n in (1, 3))
     assert abs(p1 - p3) < 1e-12
 
 
@@ -202,7 +205,7 @@ def test_condensate_density_single_site_identity():
 
 
 def test_krylov_matches_spectral(rng):
-    params = random_params(rng)
+    params = model.ModelParams.random(rng)
     psi = dynamics.pure_product_state(3, [np.cos(0.5), 0.0, 0.0, np.sin(0.5)])
     times = [0.0, 0.4, 1.1]
     a = fock.PAIR
@@ -235,7 +238,7 @@ def _site_ops(n):
 
 
 def test_spectral_mixed_matches_per_time_oracle(rng):
-    params = random_params(rng)
+    params = model.ModelParams.random(rng)
     mix = ProductMixture.from_components(
         [(0.3, OnSiteState.random_even(rng)), (0.7, OnSiteState.pair_superposition(0.4, 1.1))]
     )
@@ -254,7 +257,7 @@ def test_spectral_mixed_matches_per_time_oracle(rng):
 
 
 def test_spectral_pure_matches_dense_expm(rng):
-    params = random_params(rng)
+    params = model.ModelParams.random(rng)
     psi = dynamics.pure_product_state(3, [np.cos(0.5), 0.0, 0.0, np.exp(0.3j) * np.sin(0.5)])
     times = [0.0, 0.4, -0.9, 1.7]
     series = dynamics.evolve_expectation(
@@ -268,7 +271,7 @@ def test_spectral_pure_matches_dense_expm(rng):
 @pytest.mark.parametrize("kind", ["mixed", "pure"])
 def test_spectral_long_grid_matches_per_time_oracle(rng, kind):
     # a grid over three time blocks, the last one partial
-    params = random_params(rng)
+    params = model.ModelParams.random(rng)
     if kind == "mixed":
         initial = dynamics.product_state(2, OnSiteState.random_even(rng))
     else:
@@ -288,7 +291,7 @@ def test_spectral_long_grid_matches_per_time_oracle(rng, kind):
 
 def test_krylov_unsorted_grid_matches_dense_expm(rng):
     # one stepping pass over an unsorted grid with a repeated and a negative time
-    params = random_params(rng)
+    params = model.ModelParams.random(rng)
     psi = dynamics.pure_product_state(3, [np.cos(0.8), 0.0, 0.0, np.sin(0.8)])
     times = [0.9, -0.4, 0.9, 0.0, 2.1, 0.3]
     series = dynamics.evolve_expectation(
@@ -300,7 +303,7 @@ def test_krylov_unsorted_grid_matches_dense_expm(rng):
 
 
 def test_evolve_expectation_observable_forms(rng):
-    params = random_params(rng)
+    params = model.ModelParams.random(rng)
     initial = dynamics.product_state(2, OnSiteState.random_even(rng))
     number = fock.FermionOperatorSet.build(2).total_number()
     ops = [fock.PAIR, number, number.toarray()]

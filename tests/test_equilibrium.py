@@ -6,6 +6,8 @@ import pytest
 from mfbcs import dynamics, equilibrium, model
 from mfbcs.flow import mixture_flow, observables
 
+from conftest import decoupled_pressure_n
+
 # oracle: root of r = tanh(4 r)/2 (stationarity at beta=1, gamma=8),
 # bisected to full precision
 RSTAR_GAMMA8 = 0.47875201203863437
@@ -36,8 +38,23 @@ def test_pressure_onsite_matches_finite_volume(n):
     params = model.ModelParams(mu=0.4, h=0.1, lam=0.3, gamma=1.2)
     c = 0.2 + 0.3j
     p_site = equilibrium.pressure_onsite(params, 1.1, c)
-    p_fv = dynamics.pressure_fv(n, params, dynamics.GibbsSpec(beta=1.1), c=c)
+    p_fv = decoupled_pressure_n(n, params, dynamics.GibbsSpec(beta=1.1), c)
     assert abs(p_site - p_fv) < 1e-12
+
+
+def test_pressure_onsite_array_matches_scalar_calls(rng):
+    params = model.ModelParams.random(rng)
+    rs = np.linspace(0.0, 1.0, 9)
+    batch = equilibrium.pressure_onsite(params, 1.3, rs)
+    assert isinstance(batch, np.ndarray) and batch.shape == rs.shape
+    for r, p in zip(rs, batch):
+        assert p == equilibrium.pressure_onsite(params, 1.3, float(r))
+    cs = (rng.normal(size=4) + 1j * rng.normal(size=4)).reshape(2, 2)
+    batch = equilibrium.pressure_onsite(params, 0.7, cs)
+    assert batch.shape == (2, 2)
+    for idx in np.ndindex(cs.shape):
+        single = equilibrium.pressure_onsite(params, 0.7, cs[idx])
+        assert isinstance(single, float) and batch[idx] == single
 
 
 def test_gap_solve_normal_phase():

@@ -21,7 +21,6 @@ from mfbcs.flow import (
 )
 from mfbcs.states import OnSiteState, ProductMixture, parity_commutator_norm
 
-from conftest import random_params
 
 
 def test_observables_vacuum():
@@ -69,7 +68,7 @@ def test_flow_fixed_point_maximally_mixed():
 
 
 def test_flow_cooper_field_rotation(rng):
-    params = random_params(rng)
+    params = model.ModelParams.random(rng)
     rho0 = OnSiteState.random_even(rng)
     traj = flow_onsite(params, rho0, [1.0])
     rec0 = observables(params, rho0)
@@ -78,7 +77,7 @@ def test_flow_cooper_field_rotation(rng):
 
 
 def test_flow_backward_times(rng):
-    params = random_params(rng)
+    params = model.ModelParams.random(rng)
     rho0 = OnSiteState.random_even(rng)
     traj = flow_onsite(params, rho0, [-1.0, 0.0, 1.0])
     rec0 = observables(params, rho0)
@@ -94,7 +93,7 @@ def test_flow_requires_even():
 
 
 def test_flow_preserves_evenness(rng):
-    params = random_params(rng)
+    params = model.ModelParams.random(rng)
     rho0 = OnSiteState.random_even(rng)
     traj = flow_onsite(params, rho0, np.linspace(0.0, 5.0, 6))
     for state in traj.states:
@@ -102,7 +101,7 @@ def test_flow_preserves_evenness(rng):
 
 
 def test_closed_form_matches_flow_ode(rng):
-    params = random_params(rng)
+    params = model.ModelParams.random(rng)
     rho0 = OnSiteState.random_even(rng)
     forward = np.linspace(0.0, 5.0, 11)
     evaluator = ClosedFormFlow.from_matrix(params, rho0.matrix)
@@ -116,7 +115,7 @@ def test_closed_form_matches_flow_ode(rng):
 
 
 def test_closed_form_seed_validation_and_shapes(rng):
-    params = random_params(rng)
+    params = model.ModelParams.random(rng)
     rho0 = OnSiteState.random_even(rng)
     with pytest.raises(ValueError, match="trace-1"):
         ClosedFormFlow.from_matrix(params, 2.0 * rho0.matrix)
@@ -132,7 +131,7 @@ def test_closed_form_seed_validation_and_shapes(rng):
 @settings(max_examples=10, deadline=None)
 def test_property_densities_conserved(seed):
     rng = np.random.default_rng(seed)
-    params = random_params(rng)
+    params = model.ModelParams.random(rng)
     rho0 = OnSiteState.random_even(rng)
     traj = flow_onsite(params, rho0, [0.0, 2.0])
     assert abs(traj.d[1] - traj.d[0]) < 1e-9
@@ -142,7 +141,7 @@ def test_property_densities_conserved(seed):
 
 
 def test_self_consistency_residual(rng):
-    params = random_params(rng)
+    params = model.ModelParams.random(rng)
     rho0 = OnSiteState.random_even(rng)
     traj = flow_onsite(params, rho0, np.linspace(0.0, 4.0, 9))
     res = self_consistency_residual(params, traj)
@@ -150,7 +149,7 @@ def test_self_consistency_residual(rng):
 
 
 def test_mixture_single_component_identical(rng):
-    params = random_params(rng)
+    params = model.ModelParams.random(rng)
     rho0 = OnSiteState.random_even(rng)
     times = [0.0, 0.8]
     mix = ProductMixture.single(rho0)
@@ -164,7 +163,7 @@ def test_mixture_single_component_identical(rng):
 def test_mixture_expectation_series_linearity(rng):
     # mixture expectations are the weighted component sums, bitwise (same
     # arithmetic path), and expectation_series agrees with the records
-    params = random_params(rng)
+    params = model.ModelParams.random(rng)
     comps = [(0.25, OnSiteState.random_even(rng)), (0.75, OnSiteState.random_even(rng))]
     mix = ProductMixture.from_components(comps)
     times = [0.0, 0.6, 1.2]
@@ -213,7 +212,7 @@ def test_mixture_beats():
 
 
 def test_interference_prediction_basics(rng):
-    params = random_params(rng)
+    params = model.ModelParams.random(rng)
     states = [OnSiteState.random_even(rng) for _ in range(3)]
     mix = ProductMixture.from_components([(1.0 / 3.0, s) for s in states])
     at0 = interference_prediction(params, mix, 0.0)
@@ -227,7 +226,7 @@ def test_interference_prediction_basics(rng):
 
 
 def test_mixture_flow_matches_prediction(rng):
-    params = random_params(rng)
+    params = model.ModelParams.random(rng)
     comps = [(0.3, OnSiteState.random_even(rng)), (0.7, OnSiteState.random_even(rng))]
     mix = ProductMixture.from_components(comps)
     times = np.linspace(0.0, 2.0, 11)
@@ -240,7 +239,7 @@ def test_mixture_flow_matches_prediction(rng):
 
 
 def test_dyson_t_zero(rng):
-    params = random_params(rng)
+    params = model.ModelParams.random(rng)
     a = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
     res = dyson_phillips(params, lambda s: OnSiteState.vacuum(), 0.0, 4, a)
     assert np.array_equal(res.operator, a)
@@ -248,7 +247,7 @@ def test_dyson_t_zero(rng):
 
 
 def test_dyson_constant_drive_vs_spectral(rng):
-    params = random_params(rng)
+    params = model.ModelParams.random(rng)
     rho = OnSiteState.random_even(rng)
     dh = model.effective_hamiltonian(params, rho)
     w, u = np.linalg.eigh(dh)
@@ -262,7 +261,7 @@ def test_dyson_constant_drive_vs_spectral(rng):
 
 
 def test_dyson_flow_drive_vs_ode(rng):
-    params = random_params(rng)
+    params = model.ModelParams.random(rng)
     rho0 = OnSiteState.random_even(rng)
     t = 0.1
     traj = flow_onsite(params, rho0, [0.0, t])
@@ -311,7 +310,7 @@ def test_dyson_argument_validation():
 def test_dyson_backward_and_odd_grid_vs_ode(rng, t, n_nodes):
     # backward time (a negative quadrature step), and an odd number of
     # coarse intervals (33; the fine level has 66)
-    params = random_params(rng)
+    params = model.ModelParams.random(rng)
     rho0 = OnSiteState.random_even(rng)
     traj = flow_onsite(params, rho0, [0.0, t])
     a = (fock.PAIR + fock.PAIR_DAG).astype(complex)

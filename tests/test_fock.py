@@ -49,17 +49,16 @@ def test_oracle_is_consistent():
 
 
 def test_onsite_ops_match_oracle():
-    a_up, a_dn, n_up, n_dn, parity = fock.onsite_ops()
     o_up, o_dn = oracle_onsite()
-    assert np.array_equal(a_up, o_up)
-    assert np.array_equal(a_dn, o_dn)
-    assert np.array_equal(n_up, o_up.conj().T @ o_up)
-    assert np.array_equal(n_dn, o_dn.conj().T @ o_dn)
-    assert np.array_equal(parity, np.diag([1.0, -1.0, -1.0, 1.0]))
+    assert np.array_equal(fock.A_UP, o_up)
+    assert np.array_equal(fock.A_DN, o_dn)
+    assert np.array_equal(fock.N_UP, o_up.conj().T @ o_up)
+    assert np.array_equal(fock.N_DN, o_dn.conj().T @ o_dn)
+    assert np.array_equal(fock.PARITY_1, np.diag([1.0, -1.0, -1.0, 1.0]))
 
 
 def test_spec_entries():
-    a_up, a_dn, *_ = fock.onsite_ops()
+    a_up, a_dn = fock.A_UP, fock.A_DN
     assert a_up[0, 1] == 1 and a_up[2, 3] == 1 and np.count_nonzero(a_up) == 2
     assert a_dn[0, 2] == 1 and a_dn[1, 3] == -1 and np.count_nonzero(a_dn) == 2
     anti = a_up @ a_up.conj().T + a_up.conj().T @ a_up

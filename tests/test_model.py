@@ -5,7 +5,7 @@ from mfbcs import fock, model
 from mfbcs.errors import CapacityError
 from mfbcs.states import OnSiteState
 
-from conftest import random_params
+from conftest import decoupled_hamiltonian_n
 
 # lattice constant at d=1, eps=1, frozen from partial sums + integral tail
 # (closed form pi**2/3 - 1 confirmed by the same oracle)
@@ -49,7 +49,7 @@ def test_hamiltonian_gamma_zero_is_block_sum():
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_hamiltonian_symmetries(n, rng):
-    params = random_params(rng)
+    params = model.ModelParams.random(rng)
     h = model.hamiltonian(n, params)
     assert np.abs(h - h.conj().T).max() == 0.0
     number = fock.FermionOperatorSet.build(n).total_number().toarray()
@@ -61,7 +61,7 @@ def test_hamiltonian_symmetries(n, rng):
 @pytest.mark.parametrize("n", [4, 5])
 def test_hamiltonian_symmetries_large(n, rng):
     # same invariant at the dense capacity edge, via the sparse route
-    params = random_params(rng)
+    params = model.ModelParams.random(rng)
     h = model.hamiltonian_sparse(n, params)
     number = fock.FermionOperatorSet.build(n).total_number()
     comm = (h @ number - number @ h).tocsr()
@@ -73,7 +73,7 @@ def test_hamiltonian_symmetries_large(n, rng):
 
 def test_approximating_hamiltonian_c_zero():
     params = model.ModelParams(mu=0.5, h=0.3, lam=0.1, gamma=2.0)
-    ha = model.approximating_hamiltonian(2, params, 0.0)
+    ha = decoupled_hamiltonian_n(2, params, 0.0)
     h0 = model.onsite_h(params)
     expected = sum(fock.embed_local(2, x, h0).toarray() for x in range(2))
     assert np.allclose(ha, expected, atol=1e-14)
@@ -81,7 +81,7 @@ def test_approximating_hamiltonian_c_zero():
 
 def test_approximating_hamiltonian_even_block_entry():
     # N=1, c=1, mu=h=lam=0, gamma=1: couples vacuum and double occupation
-    ha = model.approximating_hamiltonian(1, model.ModelParams(gamma=1.0), 1.0)
+    ha = decoupled_hamiltonian_n(1, model.ModelParams(gamma=1.0), 1.0)
     assert ha[3, 0] == -1.0 and ha[0, 3] == -1.0
     ha[3, 0] = ha[0, 3] = 0.0
     assert np.abs(ha).max() == 0.0
@@ -90,15 +90,13 @@ def test_approximating_hamiltonian_even_block_entry():
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_decoupling_identity(n, rng):
     # gamma N |c|^2 + H_N(c) - H_N = gamma (c0+ - sqrt(N) cbar)(c0 - sqrt(N) c)
-    params = random_params(rng)
+    params = model.ModelParams.random(rng)
     h = model.hamiltonian(n, params)
     c0 = fock.condensate_op(n).toarray()
     eye = np.eye(4**n)
     for _ in range(10):
         c = complex(rng.normal(), rng.normal())
-        lhs = params.gamma * n * abs(c) ** 2 * eye + model.approximating_hamiltonian(
-            n, params, c
-        ) - h
+        lhs = params.gamma * n * abs(c) ** 2 * eye + decoupled_hamiltonian_n(n, params, c) - h
         shift = c0 - np.sqrt(n) * c * eye
         rhs = params.gamma * (shift.conj().T @ shift)
         assert np.abs(lhs - rhs).max() < 1e-12
@@ -119,7 +117,7 @@ def test_effective_hamiltonian_examples():
 
 
 def test_effective_hamiltonian_hermitian(rng):
-    params = random_params(rng)
+    params = model.ModelParams.random(rng)
     rho = OnSiteState.random_even(rng)
     dh = model.effective_hamiltonian(params, rho)
     assert np.abs(dh - dh.conj().T).max() < 1e-14
@@ -158,7 +156,7 @@ def test_bcs_hubbard_model_structure():
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_generic_local_hamiltonian_matches_direct(n, rng):
-    params = random_params(rng)
+    params = model.ModelParams.random(rng)
     via_model = model.model_local_hamiltonian(model.bcs_hubbard_model(params), n)
     direct = model.hamiltonian_sparse(n, params)
     assert np.abs((via_model - direct).toarray()).max() < 1e-12
@@ -179,7 +177,7 @@ def test_approximating_interaction_reductions(rng):
 
 
 def test_approximating_interaction_matches_effective_hamiltonian(rng):
-    params = random_params(rng)
+    params = model.ModelParams.random(rng)
     m = model.bcs_hubbard_model(params)
     for _ in range(5):
         rho = OnSiteState.random_even(rng)
@@ -193,13 +191,74 @@ def test_approximating_interaction_matches_effective_hamiltonian(rng):
 
 def test_decoupled_single_site_at_self_consistent_field(rng):
     # H_1(c) with c = rho(a_dn a_up) is exactly the flow generator
-    params = random_params(rng)
+    params = model.ModelParams.random(rng)
     rho = OnSiteState.random_even(rng)
     c = rho.pair_expectation()
     assert np.array_equal(
-        model.approximating_hamiltonian(1, params, c),
+        decoupled_hamiltonian_n(1, params, c),
         model.effective_hamiltonian(params, rho),
     )
+
+
+def test_decoupled_hamiltonian_broadcasts_bitwise(rng):
+    params = model.ModelParams.random(rng)
+    cs = (rng.normal(size=6) + 1j * rng.normal(size=6)).reshape(2, 3)
+    stacked = model.decoupled_hamiltonian(params, cs)
+    assert stacked.shape == (2, 3, 4, 4)
+    for idx in np.ndindex(cs.shape):
+        assert np.array_equal(stacked[idx], model.decoupled_hamiltonian(params, cs[idx]))
+    rs = np.linspace(0.0, 1.0, 5)
+    for r, mat in zip(rs, model.decoupled_hamiltonian(params, rs)):
+        assert np.array_equal(mat, model.decoupled_hamiltonian(params, float(r)))
+
+
+def test_effective_hamiltonian_is_decoupled_at_own_field(rng):
+    params = model.ModelParams.random(rng)
+    stack = np.array([OnSiteState.random_even(rng).matrix for _ in range(5)])
+    z = np.trace(stack @ fock.PAIR, axis1=-2, axis2=-1)
+    assert np.array_equal(
+        model.effective_hamiltonian(params, stack), model.decoupled_hamiltonian(params, z)
+    )
+    for d, zk in zip(stack, z):
+        assert np.array_equal(
+            model.effective_hamiltonian(params, d), model.decoupled_hamiltonian(params, zk)
+        )
+
+
+def test_precession_is_the_one_nu(rng):
+    from mfbcs.classical import rotor_map
+    from mfbcs.flow import observables
+
+    params = model.ModelParams.random(rng)
+    ds = rng.uniform(0.0, 2.0, size=4)
+    assert np.array_equal(
+        model.precession(params, ds), [model.precession(params, float(d)) for d in ds]
+    )
+    rho = OnSiteState.random_even(rng)
+    rec = observables(params, rho)
+    assert rec.nu == model.precession(params, rec.d)
+    assert rotor_map(params, rho).omega3 == rec.nu
+
+
+@pytest.mark.parametrize("gamma_max", [2.0, 3.0])
+def test_model_params_random_matches_longhand_draw(gamma_max):
+    a, b = np.random.default_rng(7), np.random.default_rng(7)
+    drawn = model.ModelParams.random(a, gamma_max=gamma_max)
+    longhand = model.ModelParams(
+        mu=float(b.uniform(-1.0, 1.0)),
+        h=float(b.uniform(-1.0, 1.0)),
+        lam=float(b.uniform(0.0, 1.0)),
+        gamma=float(b.uniform(0.0, gamma_max)),
+    )
+    assert drawn == longhand
+    assert a.random() == b.random()  # the same number of draws was consumed
+
+
+@pytest.mark.parametrize("field", ["mu", "h", "lam", "gamma"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_model_params_reject_non_finite(field, value):
+    with pytest.raises(ValueError, match=field):
+        model.ModelParams(**{field: value})
 
 
 def test_lattice_constant_d1():
@@ -249,7 +308,7 @@ def test_energy_bound_trivial_and_seeded(rng):
     res = model.energy_bound_check(2, model.ModelParams(mu=1.0, gamma=1.0), np_)
     assert res.passed
     for _ in range(3):
-        assert model.energy_bound_check(3, random_params(rng), np_).passed
+        assert model.energy_bound_check(3, model.ModelParams.random(rng), np_).passed
 
 
 def test_dense_capacity_error():
