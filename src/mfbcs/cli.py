@@ -49,6 +49,10 @@ _STATE_KEYS = {"kind", "angle", "phase", "seed", "c"}
 _SCAN_KEYS = {"mu", "h", "lambda", "gamma", "beta"}
 _STATE_KINDS = ("vacuum", "doubly_occupied", "mixed", "pair", "random", "gibbs")
 
+#: Most points a time grid or a scan may have.  The closed-form site series
+#: costs the same at any site count, so the grids set the size of a run.
+MAX_GRID_POINTS = 10**6
+
 
 @dataclass(frozen=True)
 class StateSpec:
@@ -139,7 +143,10 @@ def _parse_times(raw, path: str) -> Tuple[float, ...]:
         raise _fail(f"{path}.step", "must be > 0 (times strictly increasing)")
     if stop < start:
         raise _fail(f"{path}.stop", "must be >= start")
-    n = int(math.floor((stop - start) / step + 1e-9)) + 1
+    span = (stop - start) / step + 1e-9  # inf when stop - start overflows
+    if not span < MAX_GRID_POINTS:
+        raise _fail(path, f"more than {MAX_GRID_POINTS} time points")
+    n = int(math.floor(span)) + 1
     return tuple(float(start + k * step) for k in range(n))
 
 
@@ -151,8 +158,8 @@ def _parse_grid(raw, path: str) -> Tuple[float, ...]:
         start = _as_float(raw.get("start", 0.0), f"{path}.start")
         stop = _as_float(raw.get("stop", 1.0), f"{path}.stop")
         num = _as_int(raw.get("num", 5), f"{path}.num")
-        if num < 1:
-            raise _fail(f"{path}.num", "must be >= 1")
+        if not 1 <= num <= MAX_GRID_POINTS:
+            raise _fail(f"{path}.num", f"must be within 1..{MAX_GRID_POINTS}")
         return tuple(float(v) for v in np.linspace(start, stop, num))
     raise _fail(path, "expected a list or {start, stop, num}")
 
@@ -206,8 +213,8 @@ def parse_config(text: str, command: Optional[str] = None) -> RunConfig:
         raise _fail("sites", "expected a non-empty list of site counts")
     sites = tuple(_as_int(v, f"sites[{i}]") for i, v in enumerate(sites_raw))
     for i, n in enumerate(sites):
-        if n < 1 or n > fock.MAX_SITE_LIMIT:
-            raise _fail(f"sites[{i}]", f"must be within 1..{fock.MAX_SITE_LIMIT}")
+        if not 1 <= n <= dynamics.PRODUCT_SITE_LIMIT:
+            raise _fail(f"sites[{i}]", f"must be within 1..{dynamics.PRODUCT_SITE_LIMIT}")
 
     times = _parse_times(raw.get("times", {}), "times") if "times" in raw else None
 
@@ -239,11 +246,15 @@ def parse_config(text: str, command: Optional[str] = None) -> RunConfig:
         if not isinstance(raw["scan"], dict) or not raw["scan"]:
             raise _fail("scan", "expected a non-empty mapping of parameter grids")
         _check_keys(raw["scan"], _SCAN_KEYS, "scan.")
+        points = 1
         for key in sorted(raw["scan"]):
             grid = _parse_grid(raw["scan"][key], f"scan.{key}")
             if key in ("gamma", "lambda") and min(grid) < 0:
                 raise _fail(f"scan.{key}", f"violates the model invariant {key} >= 0")
             scan.append((key, grid))
+            points *= len(grid)
+        if points > MAX_GRID_POINTS:
+            raise _fail("scan", f"more than {MAX_GRID_POINTS} points in all")
 
     n_states = _as_int(raw.get("states", 5), "states")
     if n_states < 1:
@@ -371,42 +382,19 @@ def _run_flow(config: RunConfig) -> ResultTable:
     )
 
 
-def _pure_vector(spec: StateSpec) -> Optional[np.ndarray]:
-    if spec.kind == "vacuum":
-        return np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
-    if spec.kind == "doubly_occupied":
-        return np.array([0.0, 0.0, 0.0, 1.0], dtype=complex)
-    if spec.kind == "pair":
-        v = np.zeros(4, dtype=complex)
-        v[0] = math.cos(spec.angle)
-        v[3] = math.sin(spec.angle) * np.exp(1j * spec.phase)
-        return v
-    return None
-
-
-def _initial_global(config: RunConfig, n: int) -> dynamics.GlobalState:
-    spec = config.initial or StateSpec(kind="pair", angle=math.pi / 6.0)
-    vector = _pure_vector(spec)
-    if vector is not None:
-        return dynamics.pure_product_state(n, vector)
-    return dynamics.product_state(n, _materialize_state(spec, config))
-
-
 def _run_simulate(config: RunConfig) -> ResultTable:
     n = config.sites[0]
-    initial = _initial_global(config, n)
-    backend = dynamics.propagation_backend(n, initial.kind)
     times = list(config.times)
     columns = fock.site_columns(
-        dynamics.evolve_expectation(
-            n, config.params, initial, fock.SITE_OBSERVABLES.values(), times
-        )
+        dynamics.product_site_series(n, config.params, _initial_state(config), times)
     )
     rows = [
         (t, *(columns[name][k] for name in fock.SITE_COLUMNS))
         for k, t in enumerate(times)
     ]
-    return ResultTable(["t", *fock.SITE_COLUMNS], rows, {"backend": backend, "sites": n})
+    return ResultTable(
+        ["t", *fock.SITE_COLUMNS], rows, {"backend": "closed-form", "sites": n}
+    )
 
 
 def _run_converge(config: RunConfig) -> ResultTable:
@@ -414,31 +402,21 @@ def _run_converge(config: RunConfig) -> ResultTable:
     times = np.array(config.times)
     traj = flow_onsite(config.params, rho0, times)
     flow_series = fock.site_columns((traj.d, traj.m, traj.w, traj.z))
-
-    def per_site(n: int):
-        initial = dynamics.product_state(n, rho0)
+    rows = []
+    for n in sorted(set(config.sites)):
         finite = fock.site_columns(
-            dynamics.evolve_expectation(
-                n, config.params, initial, fock.SITE_OBSERVABLES.values(), times
-            )
+            dynamics.product_site_series(n, config.params, rho0, times)
         )
-        return [
+        rows.extend(
             (n, float(t), name, float(finite[name][k]), float(flow_series[name][k]),
              abs(float(finite[name][k]) - float(flow_series[name][k])))
             for name in fock.SITE_COLUMNS
             for k, t in enumerate(times)
-        ]
-
-    if config.threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(config.threads) as pool:
-            chunks = dict(zip(config.sites, pool.map(per_site, config.sites)))
-    else:
-        chunks = {n: per_site(n) for n in config.sites}
-    rows = [row for n in sorted(chunks) for row in chunks[n]]
+        )
     return ResultTable(
         ["N", "t", "observable", "finite", "flow", "deviation"],
         rows,
-        {"backend": "spectral"},
+        {"backend": "closed-form"},
     )
 
 

@@ -1,21 +1,33 @@
 """Exact finite-volume dynamics, Gibbs states, pressures, condensate density.
 
-Everything here is the desk-scale benchmark side: dense spectral evolution
-up to 5 sites (dimension 1024) and a sparse Krylov backend for pure states
-at 6 sites.
+:func:`product_site_series` gives the exact site-0 observables (d, m, w, z)
+of a product state, or a mixture of product states, in closed form at any
+site count N.  The model keeps each site in its parity sector, and on the
+pair sectors it is a collective pseudospin (Anderson, Phys. Rev. 112, 1900
+(1958)): with S- = sum_x a_{x,dn} a_{x,up},
 
-:func:`evolve_expectation` evaluates a list of observables on a whole time
-grid at once.  The spectral backend rotates the initial state and each
-observable into the eigenbasis of H once, D~ = U^dagger D U and
+    H_N = sum_x h0_x - (gamma/N) (S^2 - S_z^2 + S_z),
+
+so the Heisenberg pair field is e^{iHt} S- e^{-iHt} = S- e^{-i(eps + 2 gamma
+(S_z - 1)/N) t} with eps = 2(lam - mu).  Its phase factorizes over sites,
+and a permutation-invariant state gives
+
+    z_N(t) = rho(P) e^{i nu(0) t} [rho(e^{-i gamma t d/N})]^(N-1),
+
+while d, m and w stay at their initial values.  Each time point costs O(1).
+
+Everything else here is the dense side, up to fock.DENSE_SITE_LIMIT = 5
+sites (dimension 1024): the oracle the closed form is checked against,
+Gibbs states and pressures.  :func:`evolve_expectation` evaluates a list of
+observables on a whole time grid at once.  It rotates the initial state and
+each observable into the eigenbasis of H once, D~ = U^dagger D U and
 A~ = U^dagger A U; every time point is then the phase sum
 
     Trace(A D_t) = sum_ab A~_ba D~_ab e^{-i (w_a - w_b) t},
 
 shared by all observables (for a pure state, psi_t = U e^{-i w t} U^dagger
 psi for many t from one product).  The grid is taken in blocks of
-TIME_BLOCK points, so memory does not grow with its length.  The Krylov
-backend steps the pure state through the sorted grid once and evaluates
-every observable at each step.
+TIME_BLOCK points, so memory does not grow with its length.
 :meth:`Propagator.evolve_density` and :meth:`Propagator.heisenberg` remain
 the per-time Schroedinger and Heisenberg oracles of the test suite.
 """
@@ -28,7 +40,6 @@ from typing import Sequence, Union
 import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.special import logsumexp
 
 from . import fock, model
@@ -40,6 +51,9 @@ STATE_TOL = 1e-10
 #: Time points per batched product in the spectral backend; working memory
 #: is a few TIME_BLOCK x 4**N arrays whatever the length of the grid.
 TIME_BLOCK = 256
+#: Largest site count of :func:`product_site_series`.  N - 1 and gamma t / N
+#: stay exact to one rounding far below it (floats hold integers to 2**53).
+PRODUCT_SITE_LIMIT = 10**12
 
 
 @dataclass(frozen=True)
@@ -160,7 +174,7 @@ def product_state(
     The on-site factor must be even; the product of an even one-site state
     is then well defined and its expectations factorize over distinct sites.
     """
-    fock.check_site_count(n_sites, dense=True)
+    fock.check_site_count(n_sites)
     if isinstance(rho, OnSiteState):
         rho.require_even()
         components = [(1.0, rho)]
@@ -180,7 +194,7 @@ def product_state(
 
 def pure_product_state(n_sites: int, vector: Sequence[complex]) -> GlobalState:
     """Pure product state from a one-site vector supported on one parity sector."""
-    fock.check_site_count(n_sites, dense=False)
+    fock.check_site_count(n_sites)
     v = np.asarray(vector, dtype=complex).reshape(4)
     v = v / np.linalg.norm(v)
     even_weight = abs(v[0]) ** 2 + abs(v[3]) ** 2
@@ -199,12 +213,63 @@ def propagation_backend(n_sites: int, kind: str) -> str:
     """Name the backend evolve_expectation would pick for this problem."""
     if n_sites <= fock.DENSE_SITE_LIMIT:
         return "spectral"
-    if n_sites <= fock.MAX_SITE_LIMIT and kind == "pure":
-        return "krylov"
     raise CapacityError(
-        f"n_sites={n_sites} with a {kind} state is beyond both the dense and "
-        "the pure-state Krylov backends"
+        f"n_sites={n_sites} with a {kind} state is beyond the dense backend; "
+        "product states at any site count go through product_site_series"
     )
+
+
+def product_site_series(
+    n_sites: int,
+    params: model.ModelParams,
+    rho: Union[OnSiteState, ProductMixture],
+    times: Sequence[float],
+) -> np.ndarray:
+    """Exact site-0 series of d, m, w and z from a product state, at any N.
+
+    ``rho`` is an even on-site state, whose N-fold product is the initial
+    state, or a mixture of such products.  Returns shape (4, len(times)) in
+    fock.SITE_OBSERVABLES order: the values :func:`evolve_expectation` gives
+    for the same state, in closed form (see the module docstring).  Times
+    may be negative, unsorted or repeated.
+
+    T = rho(e^{-i gamma t d/N}) is a sum over the occupation basis, where d
+    is diagonal, so T - 1 = sum_k p_k (e^{-i theta_k} - 1) is summed with
+    e^{-i theta} - 1 = -2 sin^2(theta/2) - i sin(theta), and T^(N-1) is
+    exp((N-1) log1p(T - 1)) with log1p taken in real arithmetic.  numpy's
+    complex log1p and power lose about N * 1e-16 absolute instead.
+    """
+    if n_sites < 1:
+        raise ValueError(f"site count must be >= 1, got {n_sites}")
+    if n_sites > PRODUCT_SITE_LIMIT:
+        raise CapacityError(
+            f"n_sites={n_sites} exceeds the closed-form limit {PRODUCT_SITE_LIMIT}"
+        )
+    if isinstance(rho, OnSiteState):
+        rho.require_even()
+        components = [(1.0, rho)]
+    else:
+        components = rho.components()
+    times = np.asarray(times, dtype=float)
+    conserved = [fock.SITE_OBSERVABLES[name] for name in ("d", "m", "w")]
+    # theta_k = gamma t d_k / N over the occupation basis, d_k = 0, 1, 1, 2
+    theta = np.outer(params.gamma * times / n_sites, np.diag(conserved[0]).real)
+    step_re, step_im = -2.0 * np.sin(0.5 * theta) ** 2, -np.sin(theta)
+    rotation = model.precession(params, 0.0) * times
+    out = np.zeros((4, len(times)), dtype=complex)
+    for weight, state in components:
+        for j, a_op in enumerate(conserved):
+            out[j] += weight * state.expect(a_op)
+        phase, modulus = rotation, 1.0
+        if n_sites > 1:
+            p = np.diag(state.matrix).real
+            w_re, w_im = step_re @ p, step_im @ p
+            with np.errstate(divide="ignore"):  # T = 0 exactly: log|T| = -inf, z = 0
+                log_abs = 0.5 * np.log1p(2.0 * w_re + w_re**2 + w_im**2)
+            modulus = np.exp((n_sites - 1) * log_abs)
+            phase = phase + (n_sites - 1) * np.arctan2(w_im, 1.0 + w_re)
+        out[3] += weight * state.pair_expectation() * modulus * np.exp(1j * phase)
+    return out
 
 
 def _lift_observable(
@@ -264,9 +329,8 @@ def evolve_expectation(
 
     Returns shape (len(observables), len(times)).  Each observable may be a
     full 4**N matrix or a 4x4 one-site matrix (placed at site 0); a single
-    matrix must be wrapped as ``[op]``.  Backend "spectral" diagonalizes
-    once; "krylov" steps a pure state with sparse exponentials and is the
-    only route at 6 sites.
+    matrix must be wrapped as ``[op]``.  The one backend, "spectral",
+    diagonalizes H once; "auto" picks it up to the dense limit.
     """
     if initial.n_sites != n_sites:
         raise ValueError("initial state has the wrong site count")
@@ -277,7 +341,7 @@ def evolve_expectation(
     if backend == "auto":
         backend = propagation_backend(n_sites, initial.kind)
     if backend == "spectral":
-        fock.check_site_count(n_sites, dense=True)
+        fock.check_site_count(n_sites)
         prop = Propagator.from_model(n_sites, params)
         if initial.kind == "mixed":
             return _mixed_series(prop, initial.data, ops, times)
@@ -288,20 +352,6 @@ def evolve_expectation(
             phases = np.exp(-1j * np.outer(times[blk], prop.eigenvalues))
             out[:, blk] = _pure_series(ops, (phases * psi) @ u.T)
         return out
-    if backend == "krylov":
-        if initial.kind != "pure":
-            raise CapacityError("the Krylov backend applies to pure states only")
-        h = model.hamiltonian_sparse(n_sites, params)
-        out = np.empty((len(ops), len(times)), dtype=complex)
-        psi = initial.data
-        t_now = 0.0
-        for idx in np.argsort(times, kind="stable"):
-            dt = float(times[idx]) - t_now
-            if dt != 0.0:
-                psi = spla.expm_multiply((-1j * dt) * h, psi)
-                t_now = float(times[idx])
-            out[:, idx] = [np.vdot(psi, a_op @ psi) for a_op in ops]
-        return out
     raise ValueError(f"unknown backend {backend!r}")
 
 
@@ -309,7 +359,7 @@ def gibbs_state(
     n_sites: int, params: model.ModelParams, spec: GibbsSpec
 ) -> GlobalState:
     """Thermal state of H_N."""
-    fock.check_site_count(n_sites, dense=True)
+    fock.check_site_count(n_sites)
     prop = Propagator.from_matrix(model.hamiltonian(n_sites, params))
     return GlobalState(
         n_sites=n_sites, kind="mixed", data=prop.gibbs_density(spec.beta), origin="gibbs"
@@ -320,7 +370,7 @@ def pressure_fv(
     n_sites: int, params: model.ModelParams, spec: GibbsSpec
 ) -> float:
     """Finite-volume pressure (beta N)^{-1} ln Trace e^{-beta H}."""
-    fock.check_site_count(n_sites, dense=True)
+    fock.check_site_count(n_sites)
     w = np.linalg.eigvalsh(model.hamiltonian(n_sites, params))
     return float(logsumexp(-spec.beta * w) / (spec.beta * n_sites))
 

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Union
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import logsumexp
 
 from . import dynamics, fock, model
@@ -115,6 +114,9 @@ def gap_solve(
 
         lo, hi = rs[idx - 1], rs[idx + 1]
         if residual(lo) > 0.0 > residual(hi):
+            # imported here, not at module level: scipy.optimize takes ~0.2 s to load
+            from scipy.optimize import brentq
+
             r_star = float(brentq(residual, lo, hi, xtol=cfg.refine_tol))
     value = float(
         -params.gamma * r_star**2 + pressure_onsite(params, beta, r_star)
@@ -225,7 +227,7 @@ def variational_vs_finite_pressure(
     The per-N gap shrinking toward zero is the desk-scale trace of the
     thermodynamic-limit pressure identity.
     """
-    fock.check_site_count(n_max, dense=True)
+    fock.check_site_count(n_max)
     sol = gap_solve(params, beta, cfg)
     spec = dynamics.GibbsSpec(beta=beta)
     rows = []

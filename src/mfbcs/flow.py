@@ -41,7 +41,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import fock, model
 from .errors import NumericalAbortError, TruncationError
@@ -148,6 +147,8 @@ def flow_ode(
     monotonically away from t = 0 in one direction (0 itself allowed as the
     first entry); the matrices come back stacked as (len(times), 4, 4).
     """
+    # imported here, not at module level: scipy.integrate takes ~0.25 s to load
+    from scipy.integrate import solve_ivp
 
     def rhs(_t: float, y: np.ndarray) -> np.ndarray:
         dmat = y.view(complex).reshape(4, 4)
@@ -260,6 +261,8 @@ def self_consistency_residual(params: model.ModelParams, traj: Trajectory) -> fl
     and returns the max-norm deviation from the original states.  For a
     true solution this is bounded by twice the integrator tolerance.
     """
+    # imported here, not at module level: scipy.integrate takes ~0.25 s to load
+    from scipy.integrate import solve_ivp
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         dmat = y.view(complex).reshape(4, 4)
@@ -507,6 +510,8 @@ def heisenberg_propagator_ode(
     Solves dT/dt = T Delta(t), T(0) = 1, and returns T(t) as a 16x16 matrix;
     used to validate the truncated series.
     """
+    # imported here, not at module level: scipy.integrate takes ~0.25 s to load
+    from scipy.integrate import solve_ivp
 
     def rhs(s: float, y: np.ndarray) -> np.ndarray:
         mat = y.view(complex).reshape(16, 16)

@@ -37,9 +37,10 @@ is admissible; this one keeps all matrix entries in {0, +1, -1}, so
 ``car_report`` returns exactly zero rather than merely something small.
 
 Matrices are built over integers, stored as sparse CSR in complex floating
-point.  Dense conversion is left to the caller; sizes up to n_sites = 5
-(dimension 1024) are fine dense, n_sites = 6 is reserved for the sparse /
-Krylov paths.
+point.  Dense conversion is left to the caller.  Every N-site builder stops
+at n_sites = 5 (dimension 1024): larger product states are handled without
+any 4**N object, by the closed-form site series of
+:func:`mfbcs.dynamics.product_site_series`.
 """
 
 from __future__ import annotations
@@ -54,10 +55,8 @@ from .errors import CapacityError
 
 SPINS = ("up", "dn")
 
-#: Largest site count for which dense 4**N matrices are materialized.
+#: Largest site count for which 4**N operators and states are materialized.
 DENSE_SITE_LIMIT = 5
-#: Largest site count supported at all (sparse / matrix-free paths only above dense).
-MAX_SITE_LIMIT = 6
 
 
 def _onsite_matrices() -> Dict[str, np.ndarray]:
@@ -114,23 +113,15 @@ def site_columns(series: Sequence) -> Dict[str, np.ndarray]:
     }
 
 
-def check_site_count(n_sites: int, dense: bool = True) -> None:
-    """Validate a site count against the capacity limits.
-
-    ``dense=True`` enforces the dense limit and the error message directs
-    callers to the Krylov pure-state path for n_sites = 6.
-    """
+def check_site_count(n_sites: int) -> None:
+    """Validate a site count for a 4**N build: 1 <= n_sites <= DENSE_SITE_LIMIT."""
     if n_sites < 1:
         raise ValueError(f"site count must be >= 1, got {n_sites}")
-    limit = DENSE_SITE_LIMIT if dense else MAX_SITE_LIMIT
-    if n_sites > limit:
-        if dense and n_sites <= MAX_SITE_LIMIT:
-            raise CapacityError(
-                f"n_sites={n_sites} exceeds the dense limit {DENSE_SITE_LIMIT}; "
-                "use the pure-state Krylov backend (backend='krylov')"
-            )
+    if n_sites > DENSE_SITE_LIMIT:
         raise CapacityError(
-            f"n_sites={n_sites} exceeds the supported maximum {MAX_SITE_LIMIT}"
+            f"n_sites={n_sites} exceeds the dense limit {DENSE_SITE_LIMIT}; "
+            "product states at any site count go through "
+            "dynamics.product_site_series"
         )
 
 
@@ -140,7 +131,7 @@ def embed(n_sites: int, site: int, spin: str) -> sp.csr_matrix:
     Site 0 is the leftmost tensor factor; a parity string runs over all
     sites left of ``site``.
     """
-    check_site_count(n_sites, dense=False)
+    check_site_count(n_sites)
     if not 0 <= site < n_sites:
         raise ValueError(f"site index {site} out of range for n_sites={n_sites}")
     if spin not in SPINS:
@@ -164,7 +155,7 @@ def embed_local(n_sites: int, site: int, op: np.ndarray) -> sp.csr_matrix:
     Correct as-is for even operators; odd one-site operators should be
     assembled from :func:`embed` instead.
     """
-    check_site_count(n_sites, dense=False)
+    check_site_count(n_sites)
     if not 0 <= site < n_sites:
         raise ValueError(f"site index {site} out of range for n_sites={n_sites}")
     if op.shape != (4, 4):
@@ -178,7 +169,7 @@ def embed_local(n_sites: int, site: int, op: np.ndarray) -> sp.csr_matrix:
 
 def parity_operator(n_sites: int) -> sp.csr_matrix:
     """Diagonal operator (-1)**(total occupation), sparse."""
-    check_site_count(n_sites, dense=False)
+    check_site_count(n_sites)
     diag = np.ones(1)
     for _ in range(n_sites):
         diag = np.kron(diag, np.diag(_ONSITE["parity"]))
@@ -201,7 +192,7 @@ class FermionOperatorSet:
 
     @classmethod
     def build(cls, n_sites: int) -> "FermionOperatorSet":
-        check_site_count(n_sites, dense=False)
+        check_site_count(n_sites)
         ann: Dict[Tuple[int, str], sp.csr_matrix] = {}
         cre: Dict[Tuple[int, str], sp.csr_matrix] = {}
         num: Dict[Tuple[int, str], sp.csr_matrix] = {}
@@ -268,7 +259,7 @@ def condensate_op(n_sites: int) -> sp.csr_matrix:
     Annihilates one Cooper pair in the condensate; even, with operator norm
     at most sqrt(n_sites).
     """
-    check_site_count(n_sites, dense=False)
+    check_site_count(n_sites)
     out = sp.csr_matrix((4**n_sites, 4**n_sites), dtype=complex)
     pair = PAIR  # even one-site operator, no string needed
     for x in range(n_sites):

@@ -30,7 +30,6 @@ from functools import lru_cache
 from typing import Tuple, Union
 
 import numpy as np
-import scipy.integrate
 import scipy.sparse as sp
 
 from . import fock
@@ -96,8 +95,8 @@ def onsite_h(params: ModelParams) -> np.ndarray:
 
 
 def hamiltonian_sparse(n_sites: int, params: ModelParams) -> sp.csr_matrix:
-    """Full Hamiltonian as sparse CSR (allowed up to the Krylov limit)."""
-    fock.check_site_count(n_sites, dense=False)
+    """Full Hamiltonian as sparse CSR (N up to fock.DENSE_SITE_LIMIT)."""
+    fock.check_site_count(n_sites)
     h0 = onsite_h(params)
     out = sp.csr_matrix((4**n_sites, 4**n_sites), dtype=complex)
     for x in range(n_sites):
@@ -109,7 +108,6 @@ def hamiltonian_sparse(n_sites: int, params: ModelParams) -> sp.csr_matrix:
 
 def hamiltonian(n_sites: int, params: ModelParams) -> np.ndarray:
     """Full Hamiltonian as a dense 4**N array (N up to the dense limit)."""
-    fock.check_site_count(n_sites, dense=True)
     return hamiltonian_sparse(n_sites, params).toarray()
 
 
@@ -253,7 +251,7 @@ def model_local_hamiltonian(model: MeanFieldModel, n_sites: int) -> sp.csr_matri
 
     U_N = sum_x Phi_x + sum_terms w N**(1-n) prod_k (sum_x Psi^(k)_x).
     """
-    fock.check_site_count(n_sites, dense=False)
+    fock.check_site_count(n_sites)
     dim = 4**n_sites
     out = sp.csr_matrix((dim, dim), dtype=complex)
     for x in range(n_sites):
@@ -387,11 +385,14 @@ def _lattice_constant_cached(d: int, epsilon: float, tol: float) -> Tuple[float,
         return vd * ((r + c_geo) ** d - (r - c_geo) ** d)
 
     def tail_quad(fn, lo: float, epsabs: float) -> Tuple[float, float]:
+        # imported here, not at module level: scipy.integrate takes ~0.25 s to load
+        from scipy.integrate import quad
+
         # integrate fn on (lo, inf) through u = 1/(1+r), a finite interval
         def g(u: float) -> float:
             return fn(1.0 / u - 1.0) / (u * u)
 
-        return scipy.integrate.quad(g, 0.0, 1.0 / (1.0 + lo), limit=200, epsabs=epsabs)
+        return quad(g, 0.0, 1.0 / (1.0 + lo), limit=200, epsabs=epsabs)
 
     # Point budget keeps the exact enumeration affordable per dimension.
     max_radius = {1: 5.0e6, 2: 1.2e4, 3: 360.0}[d]
@@ -464,7 +465,7 @@ def energy_bound_check(
     n_sites: int, params: ModelParams, norm_params: NormParams
 ) -> EnergyBoundResult:
     """Check the extensivity bound ||H_N|| <= C * N * ||m||."""
-    fock.check_site_count(n_sites, dense=True)
+    fock.check_site_count(n_sites)
     h = hamiltonian(n_sites, params)
     lhs = float(np.max(np.abs(np.linalg.eigvalsh(h))))
     c = float(lattice_constant(norm_params))

@@ -40,7 +40,8 @@ def test_04_mixture_interference():
 
 
 def test_05_finite_volume_convergence():
-    # deviation from the mean-field flow shrinks by >= 2x from N=2 to N=5
+    # deviation from the mean-field flow shrinks by >= 2x from N=2 to N=5, and the
+    # closed-form site series agrees with dense evolution at N=2..4 to 1e-12
     _run(verification.check_fv_convergence, 300.0)
 
 

@@ -1,14 +1,17 @@
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from mfbcs import cli, verification
+from mfbcs import cli, dynamics, verification
 from mfbcs.cli import TRAJECTORY_HEADER, ResultTable, parse_config, run
-from mfbcs.errors import ConfigError
+from mfbcs.errors import CapacityError, ConfigError
 
 
 def test_parse_minimal_defaults():
@@ -59,8 +62,11 @@ def test_parse_times_and_sites():
     )
     assert cfg.times == (0.0, 0.5, 1.0)
     assert cfg.sites == (2, 3)
-    with pytest.raises(ConfigError, match="sites"):
-        parse_config("command: converge\nsites: [9]\n")
+    limit = dynamics.PRODUCT_SITE_LIMIT
+    assert parse_config(f"command: converge\nsites: [9, {limit}]\n").sites == (9, limit)
+    for bad in (0, limit + 1):
+        with pytest.raises(ConfigError, match="sites"):
+            parse_config(f"command: converge\nsites: [{bad}]\n")
     with pytest.raises(ConfigError, match="step"):
         parse_config("command: flow\ntimes: {step: -1}\n")
 
@@ -154,7 +160,7 @@ threads: 2
         devs.setdefault(row[0], 0.0)
         devs[row[0]] = max(devs[row[0]], row[5])
     assert devs[3] < devs[2]
-    # thread fan-out is order-stable: identical rows either way
+    # threads only fans out scan; converge rows are the same either way
     serial = run(parse_config(
         f"""
 command: converge
@@ -175,7 +181,7 @@ def test_simulate_command(tmp_path):
         f"times: {{start: 0, stop: 0.4, step: 0.2}}\nout: {out}\n"
     )
     table = run(cfg)
-    assert table.metadata["backend"] == "spectral"
+    assert table.metadata["backend"] == "closed-form"
     assert len(table.rows) == 3
 
 
@@ -187,7 +193,7 @@ def test_simulate_six_sites_krylov(tmp_path):
         f"times: {{start: 0, stop: 0.1, step: 0.1}}\nout: {out}\n"
     )
     table = run(cfg)
-    assert table.metadata["backend"] == "krylov"
+    assert table.metadata["backend"] == "closed-form"
     assert abs(table.rows[0][4] - np.cos(0.5) * np.sin(0.5)) < 1e-12
 
 
@@ -235,17 +241,24 @@ def test_main_exit_codes(tmp_path, monkeypatch, capsys):
     bad.write_text("gamma: -1\n")
     assert cli.main(["gap", "--config", str(bad)]) == 1
 
-    # capacity: a 6-site mixed product state is beyond the dense backend
+    # a 6-site mixed product state runs in closed form, past the dense limit
     big = tmp_path / "big.yaml"
     big.write_text("sites: [6]\ninitial: {kind: mixed}\n")
     monkeypatch.chdir(tmp_path)
-    assert cli.main(["simulate", "--config", str(big)]) == 2
+    assert cli.main(["simulate", "--config", str(big)]) == 0
 
     assert cli.main(["gap", "--config", str(tmp_path / "missing.yaml")]) == 1
 
     ok = tmp_path / "ok.yaml"
     ok.write_text("gamma: 2.0\n")
     assert cli.main(["gap", "--config", str(ok), "--out", str(tmp_path / "o.csv")]) == 0
+
+    # a capacity error (a dense build past 5 sites) maps to exit code 2
+    def beyond_capacity(config):
+        raise CapacityError("n_sites=6 exceeds the dense limit 5")
+
+    monkeypatch.setattr(cli, "run", beyond_capacity)
+    assert cli.main(["simulate", "--config", str(big)]) == 2
 
 
 def test_verify_exit_code_wiring(tmp_path, monkeypatch):
@@ -340,3 +353,69 @@ def test_main_rejects_non_finite_numbers(tmp_path, capsys, command, text):
     assert err.startswith("error: config field '") and "finite" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "converge"])
+def test_closed_form_commands_at_ten_thousand_sites(tmp_path, command):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(
+        "gamma: 2.0\nmu: 0.1\nsites: [10000]\ninitial: {kind: random, seed: 3}\n"
+        "times: {start: -1.0, stop: 2.0, step: 0.5}\n"
+    )
+    out = tmp_path / "out.csv"
+    assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    header, *rows = [line.split(",") for line in out.read_text().splitlines()]
+    assert len(rows) == (7 if command == "simulate" else 5 * 7)
+    numeric = [j for j, name in enumerate(header) if name != "observable"]
+    assert np.isfinite([float(row[j]) for row in rows for j in numeric]).all()
+    meta = yaml.safe_load((tmp_path / "out.csv.meta.yaml").read_text())
+    assert meta["backend"] == "closed-form"
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("simulate", f"sites: [{10**12 + 1}]\n"),
+        ("converge", f"sites: [2, {10**400}]\n"),
+        ("flow", "times: {start: -1.0e+308, stop: 1.0e+308, step: 1.0}\n"),
+        ("simulate", "sites: [2]\ntimes: {start: 0.0, stop: 1.0e+12, step: 1.0}\n"),
+        ("converge", "times: {start: 0.0, stop: 1000000.0, step: 1.0}\n"),
+        ("scan", "scan: {gamma: {start: 0.0, stop: 1.0, num: 10000000}}\n"),
+        ("scan", "scan: {gamma: {start: 0.0, stop: 1.0, num: 2000}, "
+                 "mu: {start: 0.0, stop: 1.0, num: 1000}}\n"),
+    ],
+    ids=[
+        "sites-past-ceiling", "sites-past-float-range", "times-overflow",
+        "times-1e12-points", "times-one-past-cap", "scan-num-past-cap",
+        "scan-product-past-cap",
+    ],
+)
+def test_main_rejects_oversized_runs(tmp_path, capsys, command, text):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(text)
+    out = tmp_path / "out.csv"
+    assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config field '")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_time_grid_cap_is_inclusive():
+    cfg = parse_config("command: simulate\ntimes: {start: 0.0, stop: 999999.0, step: 1.0}\n")
+    assert len(cfg.times) == cli.MAX_GRID_POINTS
+
+
+def test_cli_import_leaves_integrators_unloaded():
+    # scipy.integrate and scipy.optimize load where they are called, not at start-up
+    code = (
+        "import sys, mfbcs.cli; "
+        "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env,
+        timeout=120, check=True,
+    )
+    assert proc.stdout.strip() == "[]"

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from mfbcs import dynamics, fock, model
+from mfbcs import dynamics, equilibrium, fock, model
 from mfbcs.errors import CapacityError
 from mfbcs.states import OnSiteState, ProductMixture
 
@@ -204,24 +204,6 @@ def test_condensate_density_single_site_identity():
     assert abs(val - w_exp) < 1e-12
 
 
-def test_krylov_matches_spectral(rng):
-    params = model.ModelParams.random(rng)
-    psi = dynamics.pure_product_state(3, [np.cos(0.5), 0.0, 0.0, np.sin(0.5)])
-    times = [0.0, 0.4, 1.1]
-    a = fock.PAIR
-    spectral = dynamics.evolve_expectation(3, params, psi, [a], times, backend="spectral")[0]
-    krylov = dynamics.evolve_expectation(3, params, psi, [a], times, backend="krylov")[0]
-    assert np.max(np.abs(spectral - krylov)) < 1e-10
-
-
-def test_six_site_krylov_smoke():
-    params = model.ModelParams(gamma=2.0)
-    psi = dynamics.pure_product_state(6, [np.cos(0.5), 0.0, 0.0, np.sin(0.5)])
-    series = dynamics.evolve_expectation(6, params, psi, [fock.PAIR], [0.0, 0.05])[0]
-    assert abs(series[0] - np.cos(0.5) * np.sin(0.5)) < 1e-12
-    assert np.isfinite(series).all()
-
-
 def _pure_oracle(n, params, psi, ops, times):
     # dense matrix exponential at each time, independent of the eigenbasis
     h = model.hamiltonian(n, params)
@@ -289,19 +271,6 @@ def test_spectral_long_grid_matches_per_time_oracle(rng, kind):
     assert np.max(np.abs(series - oracle)) <= 1e-12
 
 
-def test_krylov_unsorted_grid_matches_dense_expm(rng):
-    # one stepping pass over an unsorted grid with a repeated and a negative time
-    params = model.ModelParams.random(rng)
-    psi = dynamics.pure_product_state(3, [np.cos(0.8), 0.0, 0.0, np.sin(0.8)])
-    times = [0.9, -0.4, 0.9, 0.0, 2.1, 0.3]
-    series = dynamics.evolve_expectation(
-        3, params, psi, fock.SITE_OBSERVABLES.values(), times, backend="krylov"
-    )
-    oracle = _pure_oracle(3, params, psi.data, _site_ops(3), times)
-    assert series.shape == (4, 6)
-    assert np.max(np.abs(series - oracle)) <= 1e-12
-
-
 def test_evolve_expectation_observable_forms(rng):
     params = model.ModelParams.random(rng)
     initial = dynamics.product_state(2, OnSiteState.random_even(rng))
@@ -356,8 +325,101 @@ def test_capacity_errors():
         dynamics.propagation_backend(7, "pure")
     with pytest.raises(CapacityError):
         dynamics.gibbs_state(6, params, dynamics.GibbsSpec(beta=1.0))
+    with pytest.raises(CapacityError):
+        dynamics.product_site_series(
+            dynamics.PRODUCT_SITE_LIMIT + 1, params, OnSiteState.vacuum(), [0.0]
+        )
+    with pytest.raises(ValueError):
+        dynamics.product_site_series(0, params, OnSiteState.vacuum(), [0.0])
 
 
 def test_gibbs_spec_validation():
     with pytest.raises(ValueError):
         dynamics.GibbsSpec(beta=0.0)
+
+
+# --- closed-form site series --------------------------------------------------
+
+# negative, unsorted and repeated times
+_CLOSED_FORM_TIMES = [0.9, -0.4, 0.9, 0.0, 2.1, -1.7, 0.3]
+
+
+def _closed_form_inputs(rng):
+    params = model.ModelParams.random(rng, gamma_max=4.0)
+    gibbs = equilibrium.approx_gibbs_onsite(params, 0.7, 0.3 - 0.2j)
+    pair = OnSiteState.pair_superposition(rng.uniform(0.1, 1.4), rng.uniform(-3.0, 3.0))
+    mixture = ProductMixture.from_components(
+        [(0.5, OnSiteState.random_even(rng)), (0.3, pair), (0.2, gibbs)]
+    )
+    return params, [OnSiteState.random_even(rng), gibbs, mixture]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_product_site_series_matches_dense(rng, n):
+    # at N=5 (dimension 1024, about 2 s a dense run) only the mixture of one draw
+    for _ in range(1 if n == 5 else 2):
+        params, states = _closed_form_inputs(rng)
+        for rho in states[-1:] if n == 5 else states:
+            closed = dynamics.product_site_series(n, params, rho, _CLOSED_FORM_TIMES)
+            dense = dynamics.evolve_expectation(
+                n, params, dynamics.product_state(n, rho),
+                fock.SITE_OBSERVABLES.values(), _CLOSED_FORM_TIMES,
+            )
+            assert closed.shape == (4, len(_CLOSED_FORM_TIMES))
+            assert np.max(np.abs(closed - dense)) <= 1e-12
+
+
+def _pair_sector_hamiltonian(n, params):
+    """H_N on the span of {vac, updn}^n (2**n states, site 0 the leading bit)."""
+    eps = 2.0 * (params.lam - params.mu)
+    h = np.zeros((2**n, 2**n))
+    for b in range(2**n):
+        occupied = [x for x in range(n) if b >> (n - 1 - x) & 1]
+        h[b, b] = (eps - params.gamma / n) * len(occupied)
+        for y in occupied:
+            for x in range(n):
+                if not b >> (n - 1 - x) & 1:
+                    h[b ^ (1 << (n - 1 - y)) | (1 << (n - 1 - x)), b] -= params.gamma / n
+    return h
+
+
+def test_product_site_series_matches_pair_sector_expm_at_six_sites(rng):
+    n = 6
+    params = model.ModelParams.random(rng, gamma_max=4.0)
+    angle, phase = 0.7, -1.2
+    local = np.array([np.cos(angle), np.exp(1j * phase) * np.sin(angle)])
+    psi = np.ones(1, dtype=complex)
+    for _ in range(n):
+        psi = np.kron(psi, local)
+    h = _pair_sector_hamiltonian(n, params)
+    closed = dynamics.product_site_series(
+        n, params, OnSiteState.pair_superposition(angle, phase), _CLOSED_FORM_TIMES
+    )
+    for k, t in enumerate(_CLOSED_FORM_TIMES):
+        psi_t = (expm(-1j * t * h) @ psi).reshape(2, -1)
+        r = psi_t @ psi_t.conj().T  # site-0 reduced state on {vac, updn}
+        oracle = [2.0 * r[1, 1], 0.0, r[1, 1], r[1, 0]]
+        assert np.max(np.abs(closed[:, k] - oracle)) <= 1e-12
+
+
+def test_product_site_series_rejects_odd_state():
+    odd = OnSiteState.pure([1.0, 1.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="even"):
+        dynamics.product_site_series(3, model.ModelParams(gamma=1.0), odd, [0.0, 1.0])
+
+
+@pytest.mark.parametrize("n", [10, 10**2, 10**4, 10**6, 10**8])
+def test_product_site_series_one_over_n_law(n):
+    # N (z_N - z_mf) -> z_mf (i gamma d t - gamma^2 Var(d) t^2 / 2), with the
+    # mean-field z_mf = rho(P) e^{i nu(d) t}; the remainder is O(1/N)
+    params = model.ModelParams(mu=0.1, h=0.3, lam=0.2, gamma=2.0)
+    rho = OnSiteState.pair_superposition(0.5, 0.3)
+    times = np.linspace(0.0, 2.0, 41)
+    d_op = fock.SITE_OBSERVABLES["d"]
+    d = rho.expect(d_op).real
+    var = rho.expect(d_op @ d_op).real - d**2
+    z_mf = rho.pair_expectation() * np.exp(1j * model.precession(params, d) * times)
+    law = z_mf * (1j * params.gamma * d * times - 0.5 * params.gamma**2 * var * times**2)
+    z_n = dynamics.product_site_series(n, params, rho, times)[3]
+    residual = np.max(np.abs(n * (z_n - z_mf) - law))
+    assert residual * n <= 10.0

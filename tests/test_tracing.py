@@ -1,0 +1,38 @@
+"""The benchmark's tracer (perfbench/spans.py) wraps package functions by name.
+
+Deleting or renaming one of the names it traces makes ``install`` raise, and
+every traced benchmark run with it; this test fails first.
+"""
+
+import importlib.util
+from pathlib import Path
+
+from mfbcs import dynamics, fock, model
+from mfbcs.states import OnSiteState
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_installs_and_uninstalls_on_the_package():
+    spans = _load_spans()
+    original = dynamics.evolve_expectation
+    recorder = spans.Recorder()
+    uninstall = spans.install(recorder)
+    try:
+        assert dynamics.evolve_expectation is not original
+        initial = dynamics.product_state(2, OnSiteState.vacuum())
+        dynamics.evolve_expectation(
+            2, model.ModelParams(gamma=1.0), initial, [fock.PAIR], [0.0, 0.5]
+        )
+    finally:
+        uninstall()
+    assert dynamics.evolve_expectation is original
+    names = [span[0] for span in recorder.spans]
+    assert "dynamics.evolve_expectation.spectral_mixed" in names
