@@ -41,7 +41,7 @@ _COMMANDS = ("flow", "simulate", "converge", "gap", "scan", "liouville", "rotor"
 
 _TOP_KEYS = {
     "command", "mu", "h", "lambda", "gamma", "beta", "sites", "times",
-    "initial", "mixture", "phases", "scan", "states", "fd_step", "out", "seed",
+    "initial", "mixture", "scan", "states", "fd_step", "out", "seed",
     "threads",
 }
 _TIME_KEYS = {"start", "stop", "step"}
@@ -49,9 +49,15 @@ _STATE_KEYS = {"kind", "angle", "phase", "seed", "c"}
 _SCAN_KEYS = {"mu", "h", "lambda", "gamma", "beta"}
 _STATE_KINDS = ("vacuum", "doubly_occupied", "mixed", "pair", "random", "gibbs")
 
-#: Most points a time grid or a scan may have.  The closed-form site series
-#: costs the same at any site count, so the grids set the size of a run.
+#: Most points a time grid or a scan may have, and most rows a table may
+#: have.  The closed-form site series costs the same at any site count, so
+#: the grids and the seeded-state count set the size of a run.
 MAX_GRID_POINTS = 10**6
+#: The C parser of libyaml where PyYAML was built with it; same documents,
+#: same marks, about eight times faster than the pure-Python one.
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+#: The time grid of a config without ``times``: t = 0, 0.1, ..., 1.
+DEFAULT_TIMES = tuple(float(t) for t in np.round(np.arange(0.0, 1.0001, 0.1), 12))
 
 
 @dataclass(frozen=True)
@@ -69,10 +75,9 @@ class RunConfig:
     params: model.ModelParams
     beta: float = 1.0
     sites: Tuple[int, ...] = (2, 3, 4, 5)
-    times: Tuple[float, ...] = tuple(float(t) for t in np.round(np.arange(0.0, 1.0001, 0.1), 12))
+    times: Tuple[float, ...] = DEFAULT_TIMES
     initial: Optional[StateSpec] = None
     mixture: Tuple[Tuple[float, StateSpec], ...] = ()
-    phases: int = 8
     scan: Tuple[Tuple[str, Tuple[float, ...]], ...] = ()
     n_states: int = 5
     fd_step: float = 1e-4
@@ -164,14 +169,27 @@ def _parse_grid(raw, path: str) -> Tuple[float, ...]:
     raise _fail(path, "expected a list or {start, stop, num}")
 
 
+def _table_rows(command: str, sites: Sequence[int], n_states: int, n_times: int) -> int:
+    """Rows of the tables that grow with more than one grid; 0 for the others."""
+    if command == "converge":
+        return len(fock.SITE_COLUMNS) * len(set(sites)) * n_times
+    if command == "liouville":
+        return len(classical.polynomial_suite()) * n_states * n_times
+    if command == "rotor":
+        return n_states * n_times
+    return 0
+
+
 def parse_config(text: str, command: Optional[str] = None) -> RunConfig:
     """Parse a YAML config document into a validated RunConfig.
 
-    Unknown keys are rejected; defaults are seed=0 and threads=1.
+    Unknown keys are rejected; defaults are seed=0 and threads=1.  Time
+    grids, scans and the converge, liouville and rotor tables are held to
+    MAX_GRID_POINTS points or rows before anything is computed.
     A command passed by the CLI must agree with any command in the document.
     """
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
@@ -216,7 +234,7 @@ def parse_config(text: str, command: Optional[str] = None) -> RunConfig:
         if not 1 <= n <= dynamics.PRODUCT_SITE_LIMIT:
             raise _fail(f"sites[{i}]", f"must be within 1..{dynamics.PRODUCT_SITE_LIMIT}")
 
-    times = _parse_times(raw.get("times", {}), "times") if "times" in raw else None
+    times = _parse_times(raw["times"], "times") if "times" in raw else DEFAULT_TIMES
 
     initial = _parse_state(raw["initial"], "initial") if "initial" in raw else None
 
@@ -236,10 +254,6 @@ def parse_config(text: str, command: Optional[str] = None) -> RunConfig:
                     _parse_state(entry["state"], f"mixture[{i}].state"),
                 )
             )
-
-    phases = _as_int(raw.get("phases", 8), "phases")
-    if phases < 1:
-        raise _fail("phases", "must be >= 1")
 
     scan: List[Tuple[str, Tuple[float, ...]]] = []
     if "scan" in raw:
@@ -272,14 +286,21 @@ def parse_config(text: str, command: Optional[str] = None) -> RunConfig:
     if out is not None and not isinstance(out, str):
         raise _fail("out", "expected a path string")
 
-    kwargs = dict(
+    rows = _table_rows(final_command, sites, n_states, len(times))
+    if rows > MAX_GRID_POINTS:
+        raise _fail(
+            "sites" if final_command == "converge" else "states",
+            f"the {final_command} table would have {rows} rows, more than {MAX_GRID_POINTS}",
+        )
+
+    return RunConfig(
         command=final_command,
         params=params,
         beta=beta,
         sites=sites,
+        times=times,
         initial=initial,
         mixture=tuple(mixture),
-        phases=phases,
         scan=tuple(scan),
         n_states=n_states,
         fd_step=fd_step,
@@ -287,9 +308,6 @@ def parse_config(text: str, command: Optional[str] = None) -> RunConfig:
         seed=seed,
         threads=threads,
     )
-    if times is not None:
-        kwargs["times"] = times
-    return RunConfig(**kwargs)
 
 
 def _materialize_state(spec: StateSpec, config: RunConfig) -> OnSiteState:

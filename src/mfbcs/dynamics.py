@@ -29,22 +29,23 @@ shared by all observables (for a pure state, psi_t = U e^{-i w t} U^dagger
 psi for many t from one product).  The grid is taken in blocks of
 TIME_BLOCK points, so memory does not grow with its length.
 :meth:`Propagator.evolve_density` and :meth:`Propagator.heisenberg` remain
-the per-time Schroedinger and Heisenberg oracles of the test suite.
+the per-time Schroedinger and Heisenberg oracles of the test suite.  The
+dense side imports scipy on its first call; the closed form never loads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import TYPE_CHECKING, Sequence, Union
 
 import numpy as np
-import scipy.linalg as la
-import scipy.sparse as sp
-from scipy.special import logsumexp
 
 from . import fock, model
 from .errors import CapacityError
 from .states import OnSiteState, ProductMixture
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 RECONSTRUCTION_TOL = 1e-10
 STATE_TOL = 1e-10
@@ -144,6 +145,9 @@ class GlobalState:
             # check_finite stays on: the factorization can pass NaN entries.
             shifted = arr.copy()
             shifted[np.diag_indices(dim)] += STATE_TOL
+            # imported here, not at module level: scipy.linalg takes ~0.2 s to load
+            import scipy.linalg as la
+
             try:
                 la.cholesky(shifted.T, overwrite_a=True)
             except la.LinAlgError:
@@ -161,6 +165,9 @@ class GlobalState:
     def expectation(self, op: Union[np.ndarray, sp.spmatrix]) -> complex:
         if self.kind == "pure":
             return complex(np.vdot(self.data, (op @ self.data)))
+        # imported here, not at module level: scipy.sparse takes ~0.2 s to load
+        import scipy.sparse as sp
+
         if sp.issparse(op):
             return complex((op @ self.data).trace())
         return complex(np.trace(op @ self.data))
@@ -275,6 +282,9 @@ def product_site_series(
 def _lift_observable(
     n_sites: int, a_op: Union[np.ndarray, sp.spmatrix]
 ) -> Union[np.ndarray, sp.spmatrix]:
+    # imported here, not at module level: scipy.sparse takes ~0.2 s to load
+    import scipy.sparse as sp
+
     if not sp.issparse(a_op):
         a_op = np.asarray(a_op, dtype=complex)
         if a_op.shape == (4, 4) and n_sites > 1:
@@ -332,6 +342,9 @@ def evolve_expectation(
     matrix must be wrapped as ``[op]``.  The one backend, "spectral",
     diagonalizes H once; "auto" picks it up to the dense limit.
     """
+    # imported here, not at module level: scipy.sparse takes ~0.2 s to load
+    import scipy.sparse as sp
+
     if initial.n_sites != n_sites:
         raise ValueError("initial state has the wrong site count")
     if isinstance(observables, np.ndarray) or sp.issparse(observables):
@@ -370,6 +383,9 @@ def pressure_fv(
     n_sites: int, params: model.ModelParams, spec: GibbsSpec
 ) -> float:
     """Finite-volume pressure (beta N)^{-1} ln Trace e^{-beta H}."""
+    # imported here, not at module level: scipy.special takes ~0.2 s to load
+    from scipy.special import logsumexp
+
     fock.check_site_count(n_sites)
     w = np.linalg.eigvalsh(model.hamiltonian(n_sites, params))
     return float(logsumexp(-spec.beta * w) / (spec.beta * n_sites))

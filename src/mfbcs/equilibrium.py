@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Union
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import dynamics, fock, model
 from .flow import observables
@@ -38,6 +37,9 @@ def pressure_onsite(
     on c only through |c|.  A scalar c gives a float, an array of c an
     array of the same shape.
     """
+    # imported here, not at module level: scipy.special takes ~0.2 s to load
+    from scipy.special import logsumexp
+
     if beta <= 0:
         raise ValueError("beta must be > 0")
     w = np.linalg.eigvalsh(model.decoupled_hamiltonian(params, c))

@@ -40,18 +40,21 @@ Matrices are built over integers, stored as sparse CSR in complex floating
 point.  Dense conversion is left to the caller.  Every N-site builder stops
 at n_sites = 5 (dimension 1024): larger product states are handled without
 any 4**N object, by the closed-form site series of
-:func:`mfbcs.dynamics.product_site_series`.
+:func:`mfbcs.dynamics.product_site_series`.  scipy.sparse is imported by the
+builders that call it, so importing this module does not load scipy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import CapacityError
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 SPINS = ("up", "dn")
 
@@ -131,6 +134,9 @@ def embed(n_sites: int, site: int, spin: str) -> sp.csr_matrix:
     Site 0 is the leftmost tensor factor; a parity string runs over all
     sites left of ``site``.
     """
+    # imported here, not at module level: scipy.sparse takes ~0.2 s to load
+    import scipy.sparse as sp
+
     check_site_count(n_sites)
     if not 0 <= site < n_sites:
         raise ValueError(f"site index {site} out of range for n_sites={n_sites}")
@@ -155,6 +161,9 @@ def embed_local(n_sites: int, site: int, op: np.ndarray) -> sp.csr_matrix:
     Correct as-is for even operators; odd one-site operators should be
     assembled from :func:`embed` instead.
     """
+    # imported here, not at module level: scipy.sparse takes ~0.2 s to load
+    import scipy.sparse as sp
+
     check_site_count(n_sites)
     if not 0 <= site < n_sites:
         raise ValueError(f"site index {site} out of range for n_sites={n_sites}")
@@ -169,6 +178,9 @@ def embed_local(n_sites: int, site: int, op: np.ndarray) -> sp.csr_matrix:
 
 def parity_operator(n_sites: int) -> sp.csr_matrix:
     """Diagonal operator (-1)**(total occupation), sparse."""
+    # imported here, not at module level: scipy.sparse takes ~0.2 s to load
+    import scipy.sparse as sp
+
     check_site_count(n_sites)
     diag = np.ones(1)
     for _ in range(n_sites):
@@ -218,6 +230,9 @@ class FermionOperatorSet:
         return [(x, s) for x in range(self.n_sites) for s in SPINS]
 
     def total_number(self) -> sp.csr_matrix:
+        # imported here, not at module level: scipy.sparse takes ~0.2 s to load
+        import scipy.sparse as sp
+
         out = sp.csr_matrix((self.dim, self.dim), dtype=complex)
         for key in self.modes():
             out = out + self.numbers[key]
@@ -225,7 +240,7 @@ class FermionOperatorSet:
 
 
 def _max_abs(m: sp.spmatrix) -> float:
-    m = sp.csr_matrix(m)
+    m = m.tocsr()
     return 0.0 if m.nnz == 0 else float(np.max(np.abs(m.data)))
 
 
@@ -236,6 +251,9 @@ def car_report(ops: FermionOperatorSet) -> float:
     A correct construction returns exactly 0.0 because all entries are
     integers.
     """
+    # imported here, not at module level: scipy.sparse takes ~0.2 s to load
+    import scipy.sparse as sp
+
     modes = ops.modes()
     eye = sp.identity(ops.dim, dtype=complex, format="csr")
     worst = 0.0
@@ -259,6 +277,9 @@ def condensate_op(n_sites: int) -> sp.csr_matrix:
     Annihilates one Cooper pair in the condensate; even, with operator norm
     at most sqrt(n_sites).
     """
+    # imported here, not at module level: scipy.sparse takes ~0.2 s to load
+    import scipy.sparse as sp
+
     check_site_count(n_sites)
     out = sp.csr_matrix((4**n_sites, 4**n_sites), dtype=complex)
     pair = PAIR  # even one-site operator, no string needed

@@ -19,7 +19,8 @@ of that field (:func:`precession`).
 The mean-field term is encoded as an atomic two-factor term of weight
 -gamma on the pair (pair-creator interaction, pair-annihilator
 interaction); general (non-atomic) measures are out of scope and cannot be
-represented.
+represented.  scipy is imported inside the functions that call it (the
+sparse builders, the lattice-sum quadrature), not when the module loads.
 """
 
 from __future__ import annotations
@@ -27,13 +28,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Tuple, Union
+from typing import TYPE_CHECKING, Tuple, Union
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import fock
 from .states import OnSiteState
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 StateLike = Union[OnSiteState, np.ndarray]
 
@@ -96,6 +99,9 @@ def onsite_h(params: ModelParams) -> np.ndarray:
 
 def hamiltonian_sparse(n_sites: int, params: ModelParams) -> sp.csr_matrix:
     """Full Hamiltonian as sparse CSR (N up to fock.DENSE_SITE_LIMIT)."""
+    # imported here, not at module level: scipy.sparse takes ~0.2 s to load
+    import scipy.sparse as sp
+
     fock.check_site_count(n_sites)
     h0 = onsite_h(params)
     out = sp.csr_matrix((4**n_sites, 4**n_sites), dtype=complex)
@@ -251,6 +257,9 @@ def model_local_hamiltonian(model: MeanFieldModel, n_sites: int) -> sp.csr_matri
 
     U_N = sum_x Phi_x + sum_terms w N**(1-n) prod_k (sum_x Psi^(k)_x).
     """
+    # imported here, not at module level: scipy.sparse takes ~0.2 s to load
+    import scipy.sparse as sp
+
     fock.check_site_count(n_sites)
     dim = 4**n_sites
     out = sp.csr_matrix((dim, dim), dtype=complex)

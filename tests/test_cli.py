@@ -1,3 +1,4 @@
+import ast
 import math
 import os
 import re
@@ -31,12 +32,51 @@ def test_parse_rejects_removed_flow_keys(key):
         parse_config(f"command: flow\n{key}\n")
 
 
-def test_readme_config_block_matches_parser():
+def test_parse_rejects_removed_phases_key():
+    # no command read the equilibrium phase-average resolution
+    with pytest.raises(ConfigError, match="config field 'phases': unknown key"):
+        parse_config("command: gap\nphases: 8\n")
+    assert not hasattr(parse_config("command: gap\n"), "phases")
+
+
+def _readme_config_block():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = re.search(r"```yaml\n(.*?)```", readme, re.S).group(1)
+    return re.search(r"```yaml\n(.*?)```", readme, re.S).group(1)
+
+
+def test_readme_config_block_matches_parser():
+    block = _readme_config_block()
     cfg = parse_config(block)
     assert cfg.command == "converge"
     assert set(yaml.safe_load(block)) == cli._TOP_KEYS
+
+
+def test_c_and_python_yaml_loaders_agree(monkeypatch):
+    if yaml.__with_libyaml__:
+        assert cli._YAML_LOADER is yaml.CSafeLoader
+    documents = [
+        _readme_config_block(),
+        "command: converge\ngamma: 1.96\nmu: 0.005\nsites: [2, 3, 4, 5]\n"
+        "initial: {kind: random, seed: 376383645}\n"
+        "times: {start: 0.0, stop: 1.05, step: 0.1}\nthreads: 1\n",
+        "command: simulate\ngamma: 2.0\nsites: [5]\n"
+        "initial: {kind: pair, angle: 0.7, phase: -1.5}\n"
+        "times: {start: 0.0, stop: 10.0, step: 0.05}\n",
+        "command: flow\ngamma: 2.0\nmixture:\n"
+        "  - {weight: 0.3, state: {kind: pair, angle: 0.39269908}}\n"
+        "  - {weight: 0.7, state: {kind: gibbs, c: [0.2, -0.1]}}\n"
+        "times: {start: 0.0, stop: 10.0, step: 0.25}\n",
+    ]
+    malformed = "command: flow\ngamma: 2.0\nsites: [2, 3\n"
+    parsed, errors = [], []
+    for loader in (yaml.SafeLoader, getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+        monkeypatch.setattr(cli, "_YAML_LOADER", loader)
+        parsed.append([parse_config(doc) for doc in documents])
+        with pytest.raises(ConfigError) as exc:
+            parse_config(malformed)
+        errors.append(re.match(r"config parse error at line \d+, column \d+", str(exc.value)))
+    assert parsed[0] == parsed[1]
+    assert errors[0] and errors[1] and errors[0].group(0) == errors[1].group(0)
 
 
 def test_parse_rejects_negative_gamma():
@@ -383,11 +423,19 @@ def test_closed_form_commands_at_ten_thousand_sites(tmp_path, command):
         ("scan", "scan: {gamma: {start: 0.0, stop: 1.0, num: 10000000}}\n"),
         ("scan", "scan: {gamma: {start: 0.0, stop: 1.0, num: 2000}, "
                  "mu: {start: 0.0, stop: 1.0, num: 1000}}\n"),
+        ("converge", "sites: [2, 3]\ntimes: {start: 0.0, stop: 100000.0, step: 1.0}\n"),
+        ("converge", "sites: [2]\ntimes: {start: 0.0, stop: 200000.0, step: 1.0}\n"),
+        ("liouville", "states: 1000000000\n"),
+        ("liouville", "states: 15152\n"),
+        ("rotor", "states: 1000000000\n"),
+        ("rotor", "states: 1000001\ntimes: {start: 0.0, stop: 0.0, step: 1.0}\n"),
     ],
     ids=[
         "sites-past-ceiling", "sites-past-float-range", "times-overflow",
         "times-1e12-points", "times-one-past-cap", "scan-num-past-cap",
-        "scan-product-past-cap",
+        "scan-product-past-cap", "converge-rows-past-cap", "converge-rows-one-time-past-cap",
+        "liouville-1e9-states", "liouville-rows-past-cap", "rotor-1e9-states",
+        "rotor-rows-one-past-cap",
     ],
 )
 def test_main_rejects_oversized_runs(tmp_path, capsys, command, text):
@@ -406,16 +454,85 @@ def test_time_grid_cap_is_inclusive():
     assert len(cfg.times) == cli.MAX_GRID_POINTS
 
 
-def test_cli_import_leaves_integrators_unloaded():
-    # scipy.integrate and scipy.optimize load where they are called, not at start-up
-    code = (
-        "import sys, mfbcs.cli; "
-        "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))"
-    )
+@pytest.mark.parametrize(
+    "command, text, rows",
+    [
+        # duplicate site counts write one block of rows
+        ("converge", "sites: [2, 2]\ntimes: {start: 0.0, stop: 199999.0, step: 1.0}\n", 10**6),
+        ("liouville", "states: 166666\ntimes: {start: 0.0, stop: 0.0, step: 1.0}\n", 999996),
+        ("rotor", "states: 1000000\ntimes: {start: 0.0, stop: 0.0, step: 1.0}\n", 10**6),
+    ],
+    ids=["converge", "liouville", "rotor"],
+)
+def test_table_row_cap_is_inclusive(command, text, rows):
+    cfg = parse_config(text, command=command)
+    assert cli._table_rows(command, cfg.sites, cfg.n_states, len(cfg.times)) == rows
+
+
+def test_cli_import_leaves_integrators_unloaded(tmp_path):
+    # scipy loads where the dense side, the oracles and the gap solver call it,
+    # so start-up and the closed-form commands run without it
+    configs = {
+        "random.yaml": "gamma: 2.0\nsites: [2, 7]\ninitial: {kind: random, seed: 3}\n",
+        "gibbs.yaml": "gamma: 2.0\nsites: [3]\ninitial: {kind: gibbs, c: [0.3, 0.1]}\n",
+        "mixture.yaml": "gamma: 2.0\nmixture:\n"
+                        "  - {weight: 0.5, state: {kind: pair, angle: 0.4}}\n"
+                        "  - {weight: 0.5, state: {kind: pair, angle: 1.2, phase: 1.0}}\n",
+    }
+    for name, text in configs.items():
+        (tmp_path / name).write_text(text)
+    code = """
+import sys
+import mfbcs.cli as cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.startswith("scipy"))
+
+print(scipy_modules())
+runs = [("converge", "random"), ("converge", "gibbs"), ("simulate", "random"),
+        ("simulate", "gibbs"), ("flow", "mixture"), ("flow", "gibbs"),
+        ("liouville", "random"), ("rotor", "random")]
+print([cli.main([c, "--config", f"{k}.yaml", "--out", f"{c}-{k}.csv"]) for c, k in runs])
+print(scipy_modules())
+print(cli.main(["gap", "--config", "gibbs.yaml", "--out", "gap.csv"]))
+"""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env,
-        timeout=120, check=True,
+        cwd=tmp_path, timeout=120, check=True,
     )
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines() == ["[]", "[0, 0, 0, 0, 0, 0, 0, 0]", "[]", "0"]
+
+
+def _module_level_statements(body):
+    """Statements run on import: class bodies and every branch except TYPE_CHECKING."""
+    for node in body:
+        yield node
+        if isinstance(node, ast.If) and ast.unparse(node.test) in (
+            "TYPE_CHECKING", "typing.TYPE_CHECKING"
+        ):
+            yield from _module_level_statements(node.orelse)
+        elif isinstance(node, (ast.If, ast.For, ast.While, ast.With, ast.ClassDef)):
+            yield from _module_level_statements(node.body)
+            yield from _module_level_statements(getattr(node, "orelse", []))
+        elif isinstance(node, ast.Try):
+            for part in (node.body, node.orelse, node.finalbody, *(h.body for h in node.handlers)):
+                yield from _module_level_statements(part)
+
+
+def test_no_module_level_scipy_import():
+    src = Path(__file__).resolve().parents[1] / "src" / "mfbcs"
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in _module_level_statements(tree.body):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(n == "scipy" or n.startswith("scipy.") for n in names):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []

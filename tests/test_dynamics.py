@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from mfbcs import dynamics, equilibrium, fock, model
+from mfbcs import dynamics, equilibrium, fock, model, verification
 from mfbcs.errors import CapacityError
 from mfbcs.states import OnSiteState, ProductMixture
 
@@ -423,3 +423,29 @@ def test_product_site_series_one_over_n_law(n):
     z_n = dynamics.product_site_series(n, params, rho, times)[3]
     residual = np.max(np.abs(n * (z_n - z_mf) - law))
     assert residual * n <= 10.0
+
+
+def test_fv_convergence_row_reports_the_failed_condition(monkeypatch):
+    # mutation: T^N in place of T^(N-1), one extra factor T = rho(e^{-i gamma t d/N});
+    # the ratio still holds, so the row must carry the closed-form vs dense gap
+    original = dynamics.product_site_series
+    occupation = np.diag(fock.SITE_OBSERVABLES["d"]).real
+
+    def exponent_n(n_sites, params, rho, times):
+        out = original(n_sites, params, rho, times)
+        theta = params.gamma * np.outer(times, occupation) / n_sites
+        out[3] *= np.exp(-1j * theta) @ np.diag(rho.matrix).real
+        return out
+
+    monkeypatch.setattr(dynamics, "product_site_series", exponent_n)
+    result = verification.check_fv_convergence()
+    assert not result.passed
+    assert result.threshold == verification.CLOSED_FORM_TOL
+    assert result.max_violation > result.threshold
+    assert result.line().startswith("[FAIL] finite-volume-convergence: violation ")
+
+
+def test_fv_convergence_passing_row_is_unchanged():
+    result = verification.check_fv_convergence()
+    assert result.passed
+    assert (result.max_violation, result.threshold) == (0.0, 0.0)
