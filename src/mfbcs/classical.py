@@ -346,7 +346,7 @@ def liouville_residuals(
     eye = np.eye(4, dtype=complex)
     out: Dict[str, LiouvilleResult] = {}
     for name, f in fs.items():
-        vals = [complex(f(s)) for s in traj.states]
+        vals = [complex(f(s)) for s in traj.matrices]
         d1 = (vals[3] - vals[0]) / (2.0 * h_t)
         d2 = (vals[2] - vals[1]) / h_t
         lhs = (4.0 * d2 - d1) / 3.0

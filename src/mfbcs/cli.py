@@ -333,40 +333,60 @@ def _initial_state(config: RunConfig) -> OnSiteState:
 
 def _initial_mixture(config: RunConfig) -> ProductMixture:
     if config.mixture:
-        return ProductMixture.from_components(
-            [(w, _materialize_state(s, config)) for w, s in config.mixture]
-        )
+        components = [(w, _materialize_state(s, config)) for w, s in config.mixture]
+        try:
+            return ProductMixture.from_components(components)
+        except ValueError as exc:
+            raise _fail("mixture", str(exc)) from exc
     return ProductMixture.single(_initial_state(config))
+
+
+#: Rows formatted at a time by ResultTable.to_csv.
+CSV_BLOCK_ROWS = 2**14
+
+
+def _cells(column: np.ndarray) -> List[str]:
+    """The CSV cells of a column, written by its dtype."""
+    kind, values = column.dtype.kind, column.tolist()
+    if kind == "f":
+        return list(map(repr, values))
+    if kind == "b":
+        return ["true" if v else "false" for v in values]
+    if kind in "iu":
+        return list(map(str, values))
+    return ['"' + t.replace('"', '""') + '"' if "," in t or '"' in t or "\n" in t else t
+            for t in map(str, values)]
 
 
 @dataclass
 class ResultTable:
+    """A CSV table held as one array per column.  Floats are written by
+    ``repr`` and must all be finite, bools as true/false, integers by
+    ``str``, anything else as text, quoted where it holds , " or a newline."""
+
     header: List[str]
-    rows: List[tuple]
+    columns: List[np.ndarray]
     metadata: Dict[str, object]
 
-    def _format(self, value) -> str:
-        if isinstance(value, (bool, np.bool_)):
-            return "true" if value else "false"
-        if isinstance(value, (int, np.integer)):
-            return str(int(value))
-        if isinstance(value, (float, np.floating)):
-            v = float(value)
-            if not math.isfinite(v):
-                raise NumericalAbortError(f"non-finite value {v!r} in output table")
-            return repr(v)
-        text = str(value)
-        if any(ch in text for ch in ',"\n'):
-            text = '"' + text.replace('"', '""') + '"'
-        return text
+    def __post_init__(self) -> None:
+        self.columns = [np.asarray(col) for col in self.columns]
+        if len(self.columns) != len(self.header):
+            raise ValueError("column count does not match header")
+        if len({len(col) for col in self.columns}) > 1:
+            raise ValueError("columns differ in length")
+        for col in self.columns:
+            if col.dtype.kind == "f" and not np.isfinite(col).all():
+                bad = col[~np.isfinite(col)][0]
+                raise NumericalAbortError(f"non-finite value {float(bad)!r} in output table")
 
     def to_csv(self) -> str:
-        lines = [",".join(self.header)]
-        for row in self.rows:
-            if len(row) != len(self.header):
-                raise ValueError("row width does not match header")
-            lines.append(",".join(self._format(v) for v in row))
-        return "\n".join(lines) + "\n"
+        """The header line and every row, formatted CSV_BLOCK_ROWS rows at a time."""
+        n_rows = len(self.columns[0]) if self.columns else 0
+        blocks = [",".join(self.header) + "\n"]
+        for start in range(0, n_rows, CSV_BLOCK_ROWS):
+            cells = [_cells(col[start:start + CSV_BLOCK_ROWS]) for col in self.columns]
+            blocks.append("\n".join(map(",".join, zip(*cells))) + "\n")
+        return "".join(blocks)
 
 
 def _config_digest(config: RunConfig) -> str:
@@ -375,65 +395,56 @@ def _config_digest(config: RunConfig) -> str:
 
 
 def _run_flow(config: RunConfig) -> ResultTable:
-    # mixtures evolve componentwise; the records then carry the mixture
+    # mixtures evolve componentwise; the columns then carry the mixture
     # expectations (kappa = |mixture z|^2 shows the interference beats)
-    if config.mixture:
-        traj = mixture_flow(config.params, _initial_mixture(config), np.array(config.times))
-        kind = "mixture"
-    else:
-        traj = flow_onsite(config.params, _initial_state(config), np.array(config.times))
-        kind = "product"
-    rows = []
-    for k, t in enumerate(traj.times):
-        # rotor coordinates: the Cooper-field quadratures and the frequency
-        rows.append(
-            (
-                float(t), traj.d[k], traj.m[k], traj.w[k],
-                traj.z[k].real, traj.z[k].imag, traj.kappa[k], traj.theta[k],
-                traj.nu[k], traj.z[k].real, traj.z[k].imag, traj.nu[k],
-            )
-        )
+    traj = mixture_flow(config.params, _initial_mixture(config), np.array(config.times))
+    z = traj.z
+    # rotor coordinates: the Cooper-field quadratures and the frequency
     return ResultTable(
         TRAJECTORY_HEADER.split(","),
-        rows,
-        {"backend": "closed-form", "initial": kind},
+        [traj.times, traj.d, traj.m, traj.w, z.real, z.imag, traj.kappa, traj.theta,
+         traj.nu, z.real, z.imag, traj.nu],
+        {"backend": "closed-form", "initial": "mixture" if config.mixture else "product"},
     )
 
 
 def _run_simulate(config: RunConfig) -> ResultTable:
     n = config.sites[0]
-    times = list(config.times)
+    times = np.array(config.times)
     columns = fock.site_columns(
-        dynamics.product_site_series(n, config.params, _initial_state(config), times)
+        dynamics.product_site_series(n, config.params, _initial_mixture(config), times)
     )
-    rows = [
-        (t, *(columns[name][k] for name in fock.SITE_COLUMNS))
-        for k, t in enumerate(times)
-    ]
     return ResultTable(
-        ["t", *fock.SITE_COLUMNS], rows, {"backend": "closed-form", "sites": n}
+        ["t", *fock.SITE_COLUMNS],
+        [times, *(columns[name] for name in fock.SITE_COLUMNS)],
+        {"backend": "closed-form", "sites": n},
     )
 
 
 def _run_converge(config: RunConfig) -> ResultTable:
-    rho0 = _initial_state(config)
+    mix = _initial_mixture(config)
     times = np.array(config.times)
-    traj = flow_onsite(config.params, rho0, times)
+    traj = mixture_flow(config.params, mix, times)
     flow_series = fock.site_columns((traj.d, traj.m, traj.w, traj.z))
-    rows = []
-    for n in sorted(set(config.sites)):
-        finite = fock.site_columns(
-            dynamics.product_site_series(n, config.params, rho0, times)
-        )
-        rows.extend(
-            (n, float(t), name, float(finite[name][k]), float(flow_series[name][k]),
-             abs(float(finite[name][k]) - float(flow_series[name][k])))
-            for name in fock.SITE_COLUMNS
-            for k, t in enumerate(times)
-        )
+    sites = sorted(set(config.sites))
+    # one block of rows per N, observable-major inside it
+    blocks = []
+    for n in sites:
+        series = fock.site_columns(dynamics.product_site_series(n, config.params, mix, times))
+        blocks.extend(series[name] for name in fock.SITE_COLUMNS)
+    finite = np.concatenate(blocks)
+    flow = np.tile(np.concatenate([flow_series[name] for name in fock.SITE_COLUMNS]), len(sites))
+    rows_per_n = len(fock.SITE_COLUMNS) * len(times)
     return ResultTable(
         ["N", "t", "observable", "finite", "flow", "deviation"],
-        rows,
+        [
+            np.repeat(np.array(sites, dtype=np.int64), rows_per_n),
+            np.tile(times, len(sites) * len(fock.SITE_COLUMNS)),
+            np.tile(np.repeat(fock.SITE_COLUMNS, len(times)), len(sites)),
+            finite,
+            flow,
+            np.abs(finite - flow),
+        ],
         {"backend": "closed-form"},
     )
 
@@ -449,7 +460,7 @@ def _run_gap(config: RunConfig) -> ResultTable:
     return ResultTable(
         ["r_star", "condensate_density", "pressure", "superconducting",
          "indeterminate", "density"],
-        rows,
+        list(zip(*rows)),
         {"beta": config.beta},
     )
 
@@ -487,7 +498,7 @@ def _run_scan(config: RunConfig) -> ResultTable:
     return ResultTable(
         ["mu", "h", "lambda", "gamma", "beta", "r_star", "density",
          "superconducting", "indeterminate"],
-        rows,
+        list(zip(*rows)),
         {"grid": {k: list(v) for k, v in grids.items()}},
     )
 
@@ -507,7 +518,7 @@ def _run_liouville(config: RunConfig) -> ResultTable:
                 rows.append((k, float(t), name, r.lhs, r.rhs, r.residual, r.fd_error_estimate))
     return ResultTable(
         ["state", "t", "observable", "lhs", "rhs", "residual", "fd_error"],
-        rows,
+        list(zip(*rows)),
         {"fd_step": config.fd_step},
     )
 
@@ -521,10 +532,10 @@ def _run_rotor(config: RunConfig) -> ResultTable:
         traj = flow_onsite(config.params, rho0, times)
         rotor = classical.rotor_flow(classical.rotor_map(config.params, rho0), times)
         for i, t in enumerate(times):
-            via_flow = classical.rotor_map(config.params, traj.states[i])
+            via_flow = classical.rotor_map(config.params, traj.matrices[i])
             dev = float(np.max(np.abs(via_flow.as_array() - rotor[i].as_array())))
             rows.append((k, float(t), dev))
-    return ResultTable(["state", "t", "deviation"], rows, {})
+    return ResultTable(["state", "t", "deviation"], list(zip(*rows)), {})
 
 
 def _run_verify(config: RunConfig) -> ResultTable:
@@ -534,7 +545,7 @@ def _run_verify(config: RunConfig) -> ResultTable:
         print(r.line())
         rows.append((r.name, r.passed, r.max_violation, r.threshold, r.detail))
     table = ResultTable(
-        ["check", "passed", "violation", "threshold", "detail"], rows, {}
+        ["check", "passed", "violation", "threshold", "detail"], list(zip(*rows)), {}
     )
     table.metadata["all_passed"] = all(r.passed for r in results)
     return table
@@ -611,6 +622,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except (NumericalAbortError, MfbcsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except np.linalg.LinAlgError as exc:  # e.g. an eigensolver fed couplings that overflow
+        print(f"error: linear algebra failed: {exc}", file=sys.stderr)
         return 3
     if config.command == "verify" and not table.metadata.get("all_passed", False):
         return 4

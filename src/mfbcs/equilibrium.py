@@ -23,6 +23,7 @@ from typing import List, Optional, Union
 import numpy as np
 
 from . import dynamics, fock, model
+from .errors import NumericalAbortError
 from .flow import observables
 from .states import OnSiteState, ProductMixture
 
@@ -104,6 +105,11 @@ def gap_solve(
     rs = np.linspace(0.0, 1.0, cfg.grid_points)
     f = -params.gamma * rs**2 + pressure_onsite(params, beta, rs)
     fmax = float(f.max())
+    if not math.isfinite(fmax):
+        raise NumericalAbortError(
+            f"the variational pressure is not finite on the grid (max {fmax}); "
+            "the couplings overflow"
+        )
     tie_tol = 1e-12 * max(1.0, abs(fmax))
     candidates = np.nonzero(f >= fmax - tie_tol)[0]
     idx = int(candidates.min())  # smallest maximizer on ties

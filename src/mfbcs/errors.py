@@ -8,8 +8,9 @@ class MfbcsError(Exception):
 class CapacityError(MfbcsError):
     """Requested system size exceeds the configured dense capacity.
 
-    Raised by dense builders for site counts above the dense limit; the
-    message points at the pure-state Krylov path where one exists.
+    Raised by the dense 4**N builders above the dense limit, where the
+    message points at the closed-form product-state series, and by that
+    series above its own site limit.
     """
 
 

@@ -22,10 +22,13 @@ One 4x4 eigendecomposition of K serves every time, backward ones included.
 :func:`flow_ode` integrates the nonlinear equation with DOP853; it is kept
 only as the independent oracle of the verification suite.
 
-For mixtures of product states the components evolve independently and
-expectations combine linearly; the Cooper field of the mixture is then a
-sum of rotating phasors, which produces beats in the condensate density
-(see :func:`interference_prediction`).
+A :class:`Trajectory` is the flow on a time grid held as arrays: the
+validated, read-only (T, 4, 4) stack of density matrices and the observable
+columns d, m, w, z, kappa, theta and nu of that stack.  For mixtures of
+product states the components evolve independently and expectations
+combine linearly (:class:`MixtureTrajectory`); the Cooper field of the
+mixture is then a sum of rotating phasors, which produces beats in the
+condensate density (see :func:`interference_prediction`).
 
 :func:`dyson_phillips` evaluates the time-ordered (Heisenberg picture)
 series for a prescribed drive by nested quadrature; it is the independent
@@ -38,13 +41,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from . import fock, model
 from .errors import NumericalAbortError, TruncationError
 from .states import HERMITICITY_TOL, TRACE_TOL, OnSiteState, ProductMixture
+from .states import validated_density_matrices
 
 _N_TOTAL = fock.SITE_OBSERVABLES["d"]
 _N_DIAG = np.diag(_N_TOTAL).real
@@ -52,7 +56,7 @@ _N_DIAG = np.diag(_N_TOTAL).real
 
 @dataclass(frozen=True)
 class SiteObservables:
-    """The physical densities of one on-site state.
+    """The physical densities of one on-site state, or their columns along a stack.
 
     d     : electron density rho(n_up + n_dn), in [0, 2]
     m     : magnetization density rho(n_up - n_dn), in [-1, 1]
@@ -63,36 +67,35 @@ class SiteObservables:
     nu    : precession frequency 2(mu - lam) + gamma (1 - d)
     """
 
-    d: float
-    m: float
-    w: float
-    z: complex
-    kappa: float
-    theta: float
-    nu: float
+    d: Union[float, np.ndarray]
+    m: Union[float, np.ndarray]
+    w: Union[float, np.ndarray]
+    z: Union[complex, np.ndarray]
+    kappa: Union[float, np.ndarray]
+    theta: Union[float, np.ndarray]
+    nu: Union[float, np.ndarray]
 
 
-def _phase(z: complex) -> float:
-    if z == 0:
-        return 0.0
-    theta = float(np.angle(z))
-    return -math.pi if theta == math.pi else theta
+def _columns(params: model.ModelParams, d, m, w, z) -> Dict[str, np.ndarray]:
+    """The linear densities d, m, w, z with kappa, theta and nu derived from them."""
+    theta = np.angle(z)
+    theta = np.where(z == 0, 0.0, np.where(theta == np.pi, -np.pi, theta))[()]
+    return dict(
+        d=d, m=m, w=w, z=z, kappa=np.abs(z) ** 2, theta=theta, nu=model.precession(params, d)
+    )
+
+
+def _stack_columns(params: model.ModelParams, matrices: np.ndarray) -> Dict[str, np.ndarray]:
+    """Observable columns of a 4x4 density matrix or a stack (..., 4, 4) of them."""
+    d, m, w, z = (
+        np.trace(matrices @ op, axis1=-2, axis2=-1) for op in fock.SITE_OBSERVABLES.values()
+    )
+    return _columns(params, d.real, m.real, w.real, z)
 
 
 def observables(params: model.ModelParams, rho: OnSiteState) -> SiteObservables:
     """Evaluate the observable record of Prop-style densities at one state."""
-    d, m, w, z = (
-        complex(np.trace(rho.matrix @ op)) for op in fock.SITE_OBSERVABLES.values()
-    )
-    return SiteObservables(
-        d=d.real,
-        m=m.real,
-        w=w.real,
-        z=z,
-        kappa=abs(z) ** 2,
-        theta=_phase(z),
-        nu=model.precession(params, d.real),
-    )
+    return SiteObservables(**_stack_columns(params, rho.matrix))
 
 
 @dataclass(frozen=True)
@@ -175,45 +178,16 @@ _RANGE_SLACK = 1e-8
 
 
 @dataclass(frozen=True)
-class Trajectory:
-    """Time series of on-site states and their observable records."""
+class Trajectory(SiteObservables):
+    """The flow on a time grid: its validated (T, 4, 4) stack of density
+    matrices, read-only, and the observable columns of that stack."""
 
     times: np.ndarray = field(repr=False)
-    states: Tuple[OnSiteState, ...] = field(repr=False)
-    d: np.ndarray = field(repr=False)
-    m: np.ndarray = field(repr=False)
-    w: np.ndarray = field(repr=False)
-    z: np.ndarray = field(repr=False)
-    kappa: np.ndarray = field(repr=False)
-    theta: np.ndarray = field(repr=False)
-    nu: np.ndarray = field(repr=False)
+    matrices: np.ndarray = field(repr=False)
     evaluator: ClosedFormFlow = field(repr=False, compare=False)
 
-    @classmethod
-    def from_states(
-        cls,
-        params: model.ModelParams,
-        times: np.ndarray,
-        states: Sequence[OnSiteState],
-        evaluator: ClosedFormFlow,
-    ) -> "Trajectory":
-        recs = [observables(params, s) for s in states]
-        traj = cls(
-            times=np.asarray(times, dtype=float),
-            states=tuple(states),
-            d=np.array([r.d for r in recs]),
-            m=np.array([r.m for r in recs]),
-            w=np.array([r.w for r in recs]),
-            z=np.array([r.z for r in recs], dtype=complex),
-            kappa=np.array([r.kappa for r in recs]),
-            theta=np.array([r.theta for r in recs]),
-            nu=np.array([r.nu for r in recs]),
-            evaluator=evaluator,
-        )
-        traj._check_ranges()
-        return traj
-
-    def _check_ranges(self) -> None:
+    def __post_init__(self) -> None:
+        """The densities must stay within their physical ranges, to 1e-8."""
         checks = [
             ("d", self.d, 0.0, 2.0),
             ("m", self.m, -1.0, 1.0),
@@ -249,8 +223,10 @@ def flow_onsite(
     rho0.require_even()
     times = np.asarray(times, dtype=float)
     evaluator = ClosedFormFlow.from_matrix(params, rho0.matrix)
-    states = [OnSiteState.from_matrix(mat) for mat in evaluator(times)]
-    return Trajectory.from_states(params, times, states, evaluator)
+    matrices = validated_density_matrices(evaluator(times))
+    return Trajectory(
+        times=times, matrices=matrices, evaluator=evaluator, **_stack_columns(params, matrices)
+    )
 
 
 def self_consistency_residual(params: model.ModelParams, traj: Trajectory) -> float:
@@ -290,32 +266,23 @@ def self_consistency_residual(params: model.ModelParams, traj: Trajectory) -> fl
         for t, col in zip(branch, sol.y.T):
             redone = np.ascontiguousarray(col).view(complex).reshape(4, 4)
             idx = int(np.argmin(np.abs(traj.times - t)))
-            worst = max(worst, float(np.max(np.abs(redone - traj.states[idx].matrix))))
+            worst = max(worst, float(np.max(np.abs(redone - traj.matrices[idx]))))
     return worst
 
 
 @dataclass(frozen=True)
-class MixtureTrajectory:
+class MixtureTrajectory(SiteObservables):
     """Independent component flows combined with fixed convex weights."""
 
     times: np.ndarray = field(repr=False)
     weights: Tuple[float, ...]
     components: Tuple[Trajectory, ...] = field(repr=False)
-    d: np.ndarray = field(repr=False)
-    m: np.ndarray = field(repr=False)
-    w: np.ndarray = field(repr=False)
-    z: np.ndarray = field(repr=False)
-    kappa: np.ndarray = field(repr=False)
-    theta: np.ndarray = field(repr=False)
-    nu: np.ndarray = field(repr=False)
 
     def expectation_series(self, op: np.ndarray) -> np.ndarray:
         """Mixture expectation of a one-site operator along the flow."""
         out = np.zeros(len(self.times), dtype=complex)
         for u, traj in zip(self.weights, self.components):
-            out += u * np.array(
-                [np.trace(s.matrix @ op) for s in traj.states], dtype=complex
-            )
+            out += u * np.trace(traj.matrices @ op, axis1=-2, axis2=-1)
         return out
 
 
@@ -327,30 +294,18 @@ def mixture_flow(
     """Evolve every mixture component independently and combine linearly.
 
     The linear expectations (d, m, w, z) are weighted sums of the component
-    records, computed by the same code path as the components themselves;
-    kappa and theta are derived from the mixture field z, so kappa is no
-    longer constant in general (interference between components).
+    columns; kappa, theta and nu are derived from them as for one flow, so
+    kappa is no longer constant in general (interference between
+    components).  A single state is the mixture of one component.
     """
     times = np.asarray(times, dtype=float)
     trajs = tuple(flow_onsite(params, s, times) for s in mix.states)
     u = np.asarray(mix.weights)
-    d = sum(ui * t.d for ui, t in zip(u, trajs))
-    m = sum(ui * t.m for ui, t in zip(u, trajs))
-    w = sum(ui * t.w for ui, t in zip(u, trajs))
-    z = sum(ui * t.z for ui, t in zip(u, trajs))
-    theta = np.array([_phase(zi) for zi in z])
-    nu = model.precession(params, d)
+    d, m, w, z = (
+        sum(ui * getattr(t, name) for ui, t in zip(u, trajs)) for name in ("d", "m", "w", "z")
+    )
     return MixtureTrajectory(
-        times=times,
-        weights=mix.weights,
-        components=trajs,
-        d=d,
-        m=m,
-        w=w,
-        z=np.asarray(z, dtype=complex),
-        kappa=np.abs(z) ** 2,
-        theta=theta,
-        nu=nu,
+        times=times, weights=mix.weights, components=trajs, **_columns(params, d, m, w, z)
     )
 
 

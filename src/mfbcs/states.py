@@ -28,13 +28,51 @@ def parity_commutator_norm(matrix: np.ndarray) -> float:
     return float(np.max(np.abs(matrix @ p - p @ matrix)))
 
 
+def validated_density_matrices(matrices: np.ndarray) -> np.ndarray:
+    """Check a 4x4 density matrix, or a stack (..., 4, 4) of them.
+
+    Each matrix must be Hermitian, of unit trace and positive, each to
+    1e-10.  Returns the matrices made exactly Hermitian, as a read-only
+    array; the message names the index of the first failing matrix of a
+    stack.
+    """
+    m = np.asarray(matrices, dtype=complex)
+    if m.shape[-2:] != (4, 4):
+        raise ValueError(f"on-site states must be 4x4, got {m.shape}")
+    adjoint = np.swapaxes(m, -1, -2).conj()
+    bad = np.max(np.abs(m - adjoint), axis=(-2, -1)) > HERMITICITY_TOL
+    if bad.any():
+        raise ValueError(f"{_where(bad)}density matrix is not Hermitian within 1e-10")
+    m = 0.5 * (m + adjoint)
+    tr = np.asarray(np.trace(m, axis1=-2, axis2=-1).real)
+    bad = np.abs(tr - 1.0) > TRACE_TOL
+    if bad.any():
+        raise ValueError(
+            f"{_where(bad)}density matrix trace {tr[bad].flat[0]} is not 1 within 1e-10"
+        )
+    low = np.linalg.eigvalsh(m)[..., 0]
+    bad = low < -POSITIVITY_TOL
+    if bad.any():
+        raise ValueError(
+            f"{_where(bad)}density matrix has eigenvalue {low[bad].flat[0]} < -1e-10"
+        )
+    m.setflags(write=False)
+    return m
+
+
+def _where(bad: np.ndarray) -> str:
+    """'at index k: ' for the first failing matrix of a stack, '' for one matrix."""
+    return f"at index {np.flatnonzero(bad)[0]}: " if np.ndim(bad) else ""
+
+
 @dataclass(frozen=True)
 class OnSiteState:
     """A 4x4 density matrix on the one-site Fock space.
 
-    Validation enforces hermiticity, positivity and unit trace to 1e-10.
-    Construct via :meth:`from_matrix` (or the named constructors below)
-    so the stored matrix is exactly Hermitian.
+    Validation (:func:`validated_density_matrices`) enforces hermiticity,
+    positivity and unit trace to 1e-10.  Construct via :meth:`from_matrix`
+    (or the named constructors below) so the stored matrix is exactly
+    Hermitian.
     """
 
     matrix: np.ndarray
@@ -44,18 +82,9 @@ class OnSiteState:
         m = np.asarray(matrix, dtype=complex)
         if m.shape != (4, 4):
             raise ValueError(f"on-site state must be 4x4, got {m.shape}")
-        if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
-            raise ValueError("density matrix is not Hermitian within 1e-10")
-        m = 0.5 * (m + m.conj().T)
-        tr = np.trace(m).real
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"density matrix trace {tr} is not 1 within 1e-10")
-        eigs = np.linalg.eigvalsh(m)
-        if eigs.min() < -POSITIVITY_TOL:
-            raise ValueError(f"density matrix has eigenvalue {eigs.min()} < -1e-10")
+        m = validated_density_matrices(m)
         if require_even and parity_commutator_norm(m) > EVENNESS_TOL:
             raise ValueError("state is not even: it does not commute with parity")
-        m.setflags(write=False)
         return cls(matrix=m)
 
     @classmethod

@@ -139,8 +139,7 @@ def check_cooper_field_law(seed: int = 0) -> CheckResult:
             )
             worst_z = max(worst_z, float(np.max(np.abs(traj.z - predicted))))
             worst_kappa = max(worst_kappa, float(np.max(np.abs(traj.kappa - rec0.kappa))))
-            closed = np.array([s.matrix for s in traj.states])
-            worst_ode = max(worst_ode, float(np.max(np.abs(closed - ode))))
+            worst_ode = max(worst_ode, float(np.max(np.abs(traj.matrices - ode))))
         passed = worst_z < 1e-6 and worst_kappa < 1e-8 and worst_ode <= 1e-9
         detail = (
             f"kappa drift {worst_kappa:.2e} (limit 1e-8), "
@@ -158,7 +157,7 @@ def check_rotor_diagram(seed: int = 0) -> CheckResult:
             start = classical.rotor_map(params, rho0)
             rotor = classical.rotor_flow(start, traj.times)
             for k, t in enumerate(traj.times):
-                via_flow = classical.rotor_map(params, traj.states[k])
+                via_flow = classical.rotor_map(params, traj.matrices[k])
                 dev = np.max(np.abs(via_flow.as_array() - rotor[k].as_array()))
                 worst = max(worst, float(dev))
         return worst < 1e-6, worst, 1e-6, "rotor_map o flow = rotor_flow o rotor_map"

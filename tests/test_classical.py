@@ -220,7 +220,7 @@ def test_rotor_commuting_diagram(rng):
         traj = flow_onsite(params, rho0, times)
         rotor = rotor_flow(rotor_map(params, rho0), times)
         for k in range(len(times)):
-            via_flow = rotor_map(params, traj.states[k])
+            via_flow = rotor_map(params, traj.matrices[k])
             assert np.max(np.abs(via_flow.as_array() - rotor[k].as_array())) < 1e-6
 
 

@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 import yaml
 
-from mfbcs import cli, dynamics, verification
+from mfbcs import cli, dynamics, fock, verification
 from mfbcs.cli import TRAJECTORY_HEADER, ResultTable, parse_config, run
-from mfbcs.errors import CapacityError, ConfigError
+from mfbcs.errors import CapacityError, ConfigError, NumericalAbortError
+from mfbcs.flow import mixture_flow
 
 
 def test_parse_minimal_defaults():
@@ -196,9 +197,8 @@ threads: 2
     table = run(cfg)
     assert table.header == ["N", "t", "observable", "finite", "flow", "deviation"]
     devs = {}
-    for row in table.rows:
-        devs.setdefault(row[0], 0.0)
-        devs[row[0]] = max(devs[row[0]], row[5])
+    for n, dev in zip(table.columns[0], table.columns[5]):
+        devs[n] = max(devs.get(n, 0.0), dev)
     assert devs[3] < devs[2]
     # threads only fans out scan; converge rows are the same either way
     serial = run(parse_config(
@@ -211,7 +211,7 @@ out: {out}
 threads: 1
 """
     ))
-    assert serial.rows == table.rows
+    assert all(np.array_equal(a, b) for a, b in zip(serial.columns, table.columns))
 
 
 def test_simulate_command(tmp_path):
@@ -222,7 +222,7 @@ def test_simulate_command(tmp_path):
     )
     table = run(cfg)
     assert table.metadata["backend"] == "closed-form"
-    assert len(table.rows) == 3
+    assert len(table.columns[0]) == 3
 
 
 def test_simulate_six_sites_krylov(tmp_path):
@@ -234,13 +234,13 @@ def test_simulate_six_sites_krylov(tmp_path):
     )
     table = run(cfg)
     assert table.metadata["backend"] == "closed-form"
-    assert abs(table.rows[0][4] - np.cos(0.5) * np.sin(0.5)) < 1e-12
+    assert abs(table.columns[4][0] - np.cos(0.5) * np.sin(0.5)) < 1e-12
 
 
 def test_gap_and_scan_commands(tmp_path):
     gap_cfg = parse_config(f"command: gap\ngamma: 8.0\nout: {tmp_path/'g.csv'}\n")
     table = run(gap_cfg)
-    assert abs(table.rows[0][0] - 0.47875201203863437) < 1e-8
+    assert abs(table.columns[0][0] - 0.47875201203863437) < 1e-8
     scan_cfg = parse_config(
         f"""
 command: scan
@@ -252,8 +252,9 @@ out: {tmp_path/'s.csv'}
 """
     )
     table = run(scan_cfg)
-    assert len(table.rows) == 4
-    by_point = {(r[0], r[3]): r[7] for r in table.rows}  # (mu, gamma) -> superconducting
+    assert len(table.columns[0]) == 4
+    mu, gamma, superconducting = table.columns[0], table.columns[3], table.columns[7]
+    by_point = dict(zip(zip(mu, gamma), superconducting))
     assert not by_point[(0.0, 2.0)]
     assert by_point[(0.0, 8.0)]
 
@@ -264,7 +265,7 @@ def test_rotor_command(tmp_path):
         f"times: {{start: 0, stop: 2, step: 1.0}}\nout: {tmp_path/'r.csv'}\n"
     )
     table = run(cfg)
-    assert max(row[2] for row in table.rows) < 1e-6
+    assert max(table.columns[2]) < 1e-6
 
 
 def test_liouville_command(tmp_path):
@@ -273,7 +274,7 @@ def test_liouville_command(tmp_path):
         f"times: {{start: 0.0, stop: 0.5, step: 0.5}}\nout: {tmp_path/'l.csv'}\n"
     )
     table = run(cfg)
-    assert max(row[5] for row in table.rows) < 1e-5
+    assert max(table.columns[5]) < 1e-5
 
 
 def test_main_exit_codes(tmp_path, monkeypatch, capsys):
@@ -327,7 +328,7 @@ def test_cli_seed_override(tmp_path):
 def test_scan_default_grid_sidecar(tmp_path):
     out = tmp_path / "scan.csv"
     table = run(parse_config(f"command: scan\nout: {out}\n"))
-    assert len(table.rows) == 9
+    assert len(table.columns[0]) == 9
     meta = yaml.safe_load((tmp_path / "scan.csv.meta.yaml").read_text())
     assert meta["grid"] == {"gamma": [float(g) for g in range(9)]}
 
@@ -349,8 +350,73 @@ def test_config_digest_covers_whole_config(tmp_path):
 
 
 def test_result_table_formats_numpy_bool():
-    table = ResultTable(["a", "b"], [(np.bool_(True), np.bool_(False))], {})
+    table = ResultTable(["a", "b"], [[np.bool_(True)], [np.bool_(False)]], {})
     assert table.to_csv() == "a,b\ntrue,false\n"
+
+
+def _reference_format(value) -> str:
+    """The per-cell formatter tables were written with before they became columnar."""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        v = float(value)
+        if not math.isfinite(v):
+            raise NumericalAbortError(f"non-finite value {v!r} in output table")
+        return repr(v)
+    text = str(value)
+    if any(ch in text for ch in ',"\n'):
+        text = '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _reference_csv(header, columns) -> str:
+    rows = [",".join(_reference_format(v) for v in row) for row in zip(*columns)]
+    return "\n".join([",".join(header), *rows]) + "\n"
+
+
+@pytest.mark.parametrize("block_rows", [3, cli.CSV_BLOCK_ROWS])
+def test_result_table_matches_per_cell_reference(monkeypatch, block_rows):
+    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", block_rows)
+    rng = np.random.default_rng(11)
+    special = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1, 1.0 / 3.0, 1e-7, 123456789.0]
+    floats = special + list(rng.standard_normal(40) * 10.0 ** rng.integers(-300, 300, 40))
+    n = len(floats)
+    columns = {
+        "float": floats,
+        "npfloat": np.array(floats[::-1]),
+        "int": [int(k) for k in rng.integers(-(10**12), 10**12, n)],
+        "npint": np.arange(n, dtype=np.int64) - 7,
+        "bool": [bool(k % 3) for k in range(n)],
+        "npbool": np.arange(n) % 2 == 0,
+        "mixedbool": [True if k % 2 else np.bool_(False) for k in range(n)],
+        "text": [("plain", "a,b", 'say "hi"', "two\nlines", "", "x,\"y\"")[k % 6] for k in range(n)],
+    }
+    header = list(columns)
+    table = ResultTable(header, list(columns.values()), {})
+    assert table.to_csv() == _reference_csv(header, columns.values())
+    # one row, and no rows at all
+    first = [col[:1] for col in columns.values()]
+    assert ResultTable(header, first, {}).to_csv() == _reference_csv(header, first)
+    empty = [np.array(col[:0]) for col in columns.values()]
+    assert ResultTable(header, empty, {}).to_csv() == ",".join(header) + "\n"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("at", [0, 4, 9])
+def test_result_table_rejects_non_finite_floats(bad, at):
+    column = np.linspace(0.0, 1.0, 10)
+    column[at] = bad
+    with pytest.raises(NumericalAbortError, match="non-finite value"):
+        ResultTable(["t", "x"], [np.arange(10), column], {})
+
+
+def test_result_table_rejects_ragged_columns():
+    with pytest.raises(ValueError, match="column count"):
+        ResultTable(["a", "b"], [[1.0]], {})
+    with pytest.raises(ValueError, match="length"):
+        ResultTable(["a", "b"], [[1.0], [1.0, 2.0]], {})
 
 
 def test_main_output_error_exit_code(tmp_path, capsys):
@@ -447,6 +513,79 @@ def test_main_rejects_oversized_runs(tmp_path, capsys, command, text):
     assert err.startswith("error: config field '")
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("mixture:\n  - {weight: 0.6, state: {kind: pair}}\n", "sum to 0.6"),
+        ("mixture:\n  - {weight: -0.5, state: {kind: pair}}\n"
+         "  - {weight: 1.5, state: {kind: vacuum}}\n", "nonnegative"),
+    ],
+    ids=["weights-sum-0.6", "negative-weight"],
+)
+@pytest.mark.parametrize("command", ["flow", "simulate", "converge"])
+def test_main_rejects_bad_mixture_weights(tmp_path, capsys, command, text, message):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(text)
+    out = tmp_path / "out.csv"
+    assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config field 'mixture': ")
+    assert message in err and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command", ["flow", "simulate", "converge", "liouville", "rotor", "gap", "scan"]
+)
+def test_main_extreme_couplings_exit_3(tmp_path, capsys, command):
+    # finite couplings whose precession frequency overflows
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(
+        "gamma: 1.0e+308\nmu: -1.0e+308\nstates: 1\n"
+        "times: {start: 0.0, stop: 0.5, step: 0.5}\nscan: {gamma: [1.0e+308]}\n"
+    )
+    out = tmp_path / "out.csv"
+    with np.errstate(all="ignore"):
+        assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+_MIXTURE = (
+    "gamma: 2.0\nmu: 0.1\nh: 0.05\nlambda: 0.2\n"
+    "times: {start: -1.0, stop: 1.0, step: 0.5}\n"
+    "mixture:\n"
+    "  - {weight: 0.35, state: {kind: pair, angle: 0.4, phase: 0.3}}\n"
+    "  - {weight: 0.65, state: {kind: random, seed: 2}}\n"
+)
+
+
+def test_converge_and_simulate_evolve_the_mixture(tmp_path):
+    cfg = parse_config(f"command: converge\nsites: [2, 3, 4]\nout: {tmp_path / 'c.csv'}\n"
+                       + _MIXTURE)
+    mix = cli._initial_mixture(cfg)
+    assert len(mix) == 2
+    times = np.array(cfg.times)
+    n_col, t_col, name_col, finite_col, flow_col, _ = run(cfg).columns
+    traj = mixture_flow(cfg.params, mix, times)
+    flow_series = fock.site_columns((traj.d, traj.m, traj.w, traj.z))
+    ops = list(fock.SITE_OBSERVABLES.values())
+    for n in (2, 3, 4):
+        dense = fock.site_columns(dynamics.evolve_expectation(
+            n, cfg.params, dynamics.product_state(n, mix), ops, times
+        ))
+        sim = run(parse_config(
+            f"command: simulate\nsites: [{n}]\nout: {tmp_path / 's.csv'}\n" + _MIXTURE
+        ))
+        for j, name in enumerate(fock.SITE_COLUMNS):
+            rows = (n_col == n) & (name_col == name)
+            assert np.array_equal(t_col[rows], times)
+            assert np.max(np.abs(finite_col[rows] - dense[name])) < 1e-12
+            assert np.array_equal(flow_col[rows], flow_series[name])
+            assert np.array_equal(sim.columns[0], times)
+            assert np.max(np.abs(sim.columns[1 + j] - dense[name])) < 1e-12
 
 
 def test_time_grid_cap_is_inclusive():

@@ -57,14 +57,33 @@ def test_flow_gamma_zero_closed_form(rng):
     expected = z0 * np.exp(2j * (params.mu - params.lam) * times)
     assert np.max(np.abs(traj.z - expected)) < 1e-10
     for k in range(len(times)):
-        assert np.max(np.abs(np.diag(traj.states[k].matrix) - np.diag(rho0.matrix))) < 1e-10
+        assert np.max(np.abs(np.diag(traj.matrices[k]) - np.diag(rho0.matrix))) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "rho0",
+    [
+        OnSiteState.vacuum(),  # z = 0: theta is 0
+        OnSiteState.pair_superposition(0.4, math.pi),  # negative real z at t = 0: theta is -pi
+        OnSiteState.random_even(np.random.default_rng(5)),
+    ],
+    ids=["vacuum", "negative-real-z", "random"],
+)
+def test_flow_columns_are_observables_of_the_stack(rho0):
+    params = model.ModelParams(mu=0.1, h=0.05, lam=0.2, gamma=2.0)
+    traj = flow_onsite(params, rho0, np.linspace(-2.0, 3.0, 11))
+    assert traj.matrices.shape == (11, 4, 4) and not traj.matrices.flags.writeable
+    for k, mat in enumerate(traj.matrices):
+        rec = observables(params, OnSiteState.from_matrix(mat))
+        for name in ("d", "m", "w", "z", "kappa", "theta", "nu"):
+            assert getattr(traj, name)[k] == getattr(rec, name), name
 
 
 def test_flow_fixed_point_maximally_mixed():
     params = model.ModelParams(mu=0.5, h=0.1, lam=0.3, gamma=1.8)
     traj = flow_onsite(params, OnSiteState.maximally_mixed(), [0.0, 1.0, 5.0])
-    for state in traj.states:
-        assert np.max(np.abs(state.matrix - np.eye(4) / 4.0)) < 1e-12
+    for matrix in traj.matrices:
+        assert np.max(np.abs(matrix - np.eye(4) / 4.0)) < 1e-12
 
 
 def test_flow_cooper_field_rotation(rng):
@@ -96,8 +115,8 @@ def test_flow_preserves_evenness(rng):
     params = model.ModelParams.random(rng)
     rho0 = OnSiteState.random_even(rng)
     traj = flow_onsite(params, rho0, np.linspace(0.0, 5.0, 6))
-    for state in traj.states:
-        assert parity_commutator_norm(state.matrix) < 1e-8
+    for matrix in traj.matrices:
+        assert parity_commutator_norm(matrix) < 1e-8
 
 
 def test_closed_form_matches_flow_ode(rng):
@@ -123,7 +142,7 @@ def test_closed_form_seed_validation_and_shapes(rng):
         ClosedFormFlow.from_matrix(params, rho0.matrix + 0.1j * np.triu(np.ones((4, 4)), 1))
     traj = flow_onsite(params, rho0, [0.0, 0.7])
     assert traj.state_matrix(0.7).shape == (4, 4)
-    assert np.max(np.abs(traj.state_matrix(0.7) - traj.states[1].matrix)) < 1e-14
+    assert np.max(np.abs(traj.state_matrix(0.7) - traj.matrices[1])) < 1e-14
     assert np.max(np.abs(traj.state_matrix(0.0) - rho0.matrix)) < 1e-14
 
 
@@ -271,7 +290,7 @@ def test_dyson_flow_drive_vs_ode(rng):
     assert np.max(np.abs(res.operator - ref)) < 1e-10
     # pairing with the evolved density matrix reproduces the flow expectation
     heis = np.trace(rho0.matrix @ res.operator)
-    schro = np.trace(traj.states[1].matrix @ a)
+    schro = np.trace(traj.matrices[1] @ a)
     assert abs(heis - schro) < 1e-10
 
 

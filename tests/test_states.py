@@ -3,7 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfbcs.states import OnSiteState, ProductMixture, parity_commutator_norm
+from mfbcs.states import (
+    OnSiteState,
+    ProductMixture,
+    parity_commutator_norm,
+    validated_density_matrices,
+)
 
 
 def test_named_constructors():
@@ -29,6 +34,47 @@ def test_validation_rejects_bad_matrices():
     odd[0, 1] = odd[1, 0] = 0.5
     with pytest.raises(ValueError):
         OnSiteState.from_matrix(odd, require_even=True)
+
+
+def _not_hermitian():
+    m = np.eye(4, dtype=complex) / 4.0
+    m[0, 1] = 0.3
+    return m
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        _not_hermitian(),
+        np.eye(4, dtype=complex),  # trace 4
+        np.diag([1.0 + 2e-10, -2e-10, 0.0, 0.0]).astype(complex),  # eigenvalue -2e-10
+    ],
+    ids=["not-hermitian", "trace-4", "negative-eigenvalue"],
+)
+@pytest.mark.parametrize("k", [0, 3, 6])
+def test_stack_check_rejects_what_from_matrix_rejects(bad, k):
+    rng = np.random.default_rng(k)
+    with pytest.raises(ValueError):
+        OnSiteState.from_matrix(bad)
+    stack = np.stack([OnSiteState.random_even(rng).matrix for _ in range(7)])
+    validated_density_matrices(stack)
+    stack[k] = bad
+    with pytest.raises(ValueError, match=f"^at index {k}: "):
+        validated_density_matrices(stack)
+    with pytest.raises(ValueError, match=f"^at index {k}: "):
+        validated_density_matrices(stack.reshape(7, 1, 4, 4))
+
+
+def test_stack_check_symmetrises_like_from_matrix(rng):
+    stack = np.stack([OnSiteState.random_even(rng).matrix for _ in range(5)])
+    stack = stack + 1e-12j * np.triu(np.ones((4, 4)), 1)  # Hermitian only to 1e-12
+    checked = validated_density_matrices(stack)
+    assert not checked.flags.writeable
+    for raw, mat in zip(stack, checked):
+        assert np.array_equal(mat, OnSiteState.from_matrix(raw).matrix)
+        assert np.array_equal(mat, mat.conj().T)
+    with pytest.raises(ValueError, match="4x4"):
+        validated_density_matrices(np.eye(3))
 
 
 @given(seed=st.integers(min_value=0, max_value=10**6))
