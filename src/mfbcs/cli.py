@@ -53,9 +53,14 @@ _STATE_KINDS = ("vacuum", "doubly_occupied", "mixed", "pair", "random", "gibbs")
 #: have.  The closed-form site series costs the same at any site count, so
 #: the grids and the seeded-state count set the size of a run.
 MAX_GRID_POINTS = 10**6
-#: The C parser of libyaml where PyYAML was built with it; same documents,
-#: same marks, about eight times faster than the pure-Python one.
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+#: Largest magnitude of mu, h, lambda, gamma and beta, at the top level and
+#: in a scan: below it the precession frequency 2(mu - lam) + gamma (1 - d)
+#: and beta times any one-site energy stay below 1e301, clear of overflow.
+MAX_COUPLING = 1e150
+#: The C parser and emitter of libyaml where PyYAML was built with it; same
+#: documents, same marks, several times faster than the pure-Python ones.
+_YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+_YAML_DUMPER = yaml.CSafeDumper if yaml.__with_libyaml__ else yaml.SafeDumper
 #: The time grid of a config without ``times``: t = 0, 0.1, ..., 1.
 DEFAULT_TIMES = tuple(float(t) for t in np.round(np.arange(0.0, 1.0001, 0.1), 12))
 
@@ -100,6 +105,13 @@ def _as_float(value, path: str) -> float:
     if not math.isfinite(number):
         raise _fail(path, f"expected a finite number, got {value!r}")
     return number
+
+
+def _coupling(raw: dict, key: str, default: float) -> float:
+    value = _as_float(raw.get(key, default), key)
+    if abs(value) > MAX_COUPLING:
+        raise _fail(key, f"magnitude must be at most {MAX_COUPLING:.0e}")
+    return value
 
 
 def _as_int(value, path: str) -> int:
@@ -209,20 +221,17 @@ def parse_config(text: str, command: Optional[str] = None) -> RunConfig:
     if final_command is None:
         raise _fail("command", "missing (give it in the config or on the CLI)")
 
-    gamma = _as_float(raw.get("gamma", 0.0), "gamma")
+    gamma = _coupling(raw, "gamma", 0.0)
     if gamma < 0:
         raise _fail("gamma", "violates the model invariant gamma >= 0")
-    lam = _as_float(raw.get("lambda", 0.0), "lambda")
+    lam = _coupling(raw, "lambda", 0.0)
     if lam < 0:
         raise _fail("lambda", "violates the model invariant lambda >= 0")
     params = model.ModelParams(
-        mu=_as_float(raw.get("mu", 0.0), "mu"),
-        h=_as_float(raw.get("h", 0.0), "h"),
-        lam=lam,
-        gamma=gamma,
+        mu=_coupling(raw, "mu", 0.0), h=_coupling(raw, "h", 0.0), lam=lam, gamma=gamma
     )
 
-    beta = _as_float(raw.get("beta", 1.0), "beta")
+    beta = _coupling(raw, "beta", 1.0)
     if beta <= 0:
         raise _fail("beta", "must be > 0")
 
@@ -265,6 +274,8 @@ def parse_config(text: str, command: Optional[str] = None) -> RunConfig:
             grid = _parse_grid(raw["scan"][key], f"scan.{key}")
             if key in ("gamma", "lambda") and min(grid) < 0:
                 raise _fail(f"scan.{key}", f"violates the model invariant {key} >= 0")
+            if max(map(abs, grid)) > MAX_COUPLING:
+                raise _fail(f"scan.{key}", f"magnitudes must be at most {MAX_COUPLING:.0e}")
             scan.append((key, grid))
             points *= len(grid)
         if points > MAX_GRID_POINTS:
@@ -579,7 +590,7 @@ def run(config: RunConfig) -> ResultTable:
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(table.to_csv())
     with open(out + ".meta.yaml", "w", encoding="utf-8", newline="\n") as fh:
-        yaml.safe_dump(table.metadata, fh, sort_keys=True)
+        yaml.dump(table.metadata, fh, Dumper=_YAML_DUMPER, sort_keys=True)
     return table
 
 

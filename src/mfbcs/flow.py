@@ -19,8 +19,9 @@ linear:
     K = dh(rho_0) + (nu/2) N.
 
 One 4x4 eigendecomposition of K serves every time, backward ones included.
-:func:`flow_ode` integrates the nonlinear equation with DOP853; it is kept
-only as the independent oracle of the verification suite.
+:func:`flow_ode`, kept only as the independent oracle of the verification
+suite, integrates the nonlinear equation for a stack of K states in one
+DOP853 solve at rtol 1e-12.
 
 A :class:`Trajectory` is the flow on a time grid held as arrays: the
 validated, read-only (T, 4, 4) stack of density matrices and the observable
@@ -31,10 +32,10 @@ mixture is then a sum of rotating phasors, which produces beats in the
 condensate density (see :func:`interference_prediction`).
 
 :func:`dyson_phillips` evaluates the time-ordered (Heisenberg picture)
-series for a prescribed drive by nested quadrature; it is the independent
-cross-check pinning the sign convention of the flow.  The drive and the
-generators are evaluated once on a uniform fine grid, and the coarse level
-of the quadrature error estimate is every other fine node.
+series for a prescribed drive, applied to the operator by nested quadrature;
+it is the independent cross-check pinning the sign convention of the flow.
+The drive is evaluated once on a uniform fine grid, and the coarse level of
+the quadrature error estimate is every other fine node.
 """
 
 from __future__ import annotations
@@ -142,36 +143,40 @@ class ClosedFormFlow:
 
 
 def flow_ode(
-    params: model.ModelParams, d0: np.ndarray, times: Sequence[float]
+    params: Sequence[model.ModelParams], d0: np.ndarray, times: Sequence[float]
 ) -> np.ndarray:
-    """DOP853 oracle for dD/dt = -i[dh(D), D] at rtol 1e-11, atol 1e-13.
+    """DOP853 oracle for K stacked flows dD_k/dt = -i[dh_k(D_k), D_k].
 
-    Kept only to check :class:`ClosedFormFlow`.  ``times`` must run
-    monotonically away from t = 0 in one direction (0 itself allowed as the
-    first entry); the matrices come back stacked as (len(times), 4, 4).
+    Kept only to check :class:`ClosedFormFlow`.  The K systems, one per
+    ``params[k]`` and seed ``d0[k]`` of the (K, 4, 4) stack, are integrated
+    together in one call at rtol 1e-12, atol 1e-14; the right-hand side is
+    one batched commutator.  ``times`` must run monotonically away from
+    t = 0 in one direction (0 itself allowed as the first entry); the
+    matrices come back as (K, len(times), 4, 4).
     """
     # imported here, not at module level: scipy.integrate takes ~0.25 s to load
     from scipy.integrate import solve_ivp
 
+    seeds = np.asarray(d0, dtype=complex)
+    if seeds.shape != (len(params), 4, 4):
+        raise ValueError(f"expected {len(params)} stacked 4x4 seeds, got {seeds.shape}")
+    h0 = np.array([model.onsite_h(p) for p in params])
+    gamma = np.array([p.gamma for p in params])[:, None, None]
+
     def rhs(_t: float, y: np.ndarray) -> np.ndarray:
-        dmat = y.view(complex).reshape(4, 4)
-        dh = model.effective_hamiltonian(params, dmat)
+        dmat = y.view(complex).reshape(-1, 4, 4)
+        c = np.trace(dmat @ fock.PAIR, axis1=-2, axis2=-1)[:, None, None]
+        dh = h0 - gamma * (c * fock.PAIR_DAG + np.conj(c) * fock.PAIR)
         return (-1j * (dh @ dmat - dmat @ dh)).ravel().view(float)
 
     times = np.asarray(times, dtype=float)
-    y0 = np.asarray(d0, dtype=complex).ravel().view(float).copy()
+    y0 = seeds.ravel().view(float).copy()
     sol = solve_ivp(
-        rhs,
-        (0.0, float(times[-1])),
-        y0,
-        method="DOP853",
-        rtol=1e-11,
-        atol=1e-13,
-        t_eval=times,
+        rhs, (0.0, times[-1]), y0, method="DOP853", rtol=1e-12, atol=1e-14, t_eval=times
     )
     if not sol.success:
         raise NumericalAbortError(f"flow oracle failed: {sol.message}")
-    return np.ascontiguousarray(sol.y.T).view(complex).reshape(-1, 4, 4)
+    return np.ascontiguousarray(sol.y.T).view(complex).reshape(len(times), -1, 4, 4).swapaxes(0, 1)
 
 
 _RANGE_SLACK = 1e-8
@@ -386,21 +391,8 @@ def _cumulative_simpson(y: np.ndarray, step: float) -> np.ndarray:
     out = np.empty_like(y)
     acc = out.view(float)
     acc[0] = 0.0
-    # row by row: np.cumsum along a leading axis strides across memory and
-    # is about twice as slow here; the summation order is the same
-    for k, piece in enumerate(pieces):
-        np.add(acc[k], piece, out=acc[k + 1])
+    np.cumsum(pieces, axis=0, out=acc[1:])
     return out
-
-
-def _dyson_sum(deltas: np.ndarray, step: float, order: int) -> np.ndarray:
-    """1 + S_1(t) + ... + S_order(t), S_k(u) = int_0^u S_{k-1}(v) Delta(v) dv."""
-    total = np.eye(16, dtype=complex)
-    s_prev = total
-    for _ in range(order):
-        s_prev = _cumulative_simpson(s_prev @ deltas, step)
-        total = total + s_prev[-1]
-    return total
 
 
 def dyson_phillips(
@@ -416,13 +408,16 @@ def dyson_phillips(
 
     ``drive`` maps a time to the on-site state entering the generator; it is
     evaluated once per node of the fine grid of ``2 n_nodes`` uniform
-    intervals from 0 to ``t`` (``t`` may be negative).  The series is
-    evaluated by nested (cumulative Simpson) quadrature on that grid and on
-    the coarse grid of every other fine node (``n_nodes`` intervals); the
-    fine result is returned and its difference from the coarse one is the
-    quadrature error estimate.  The certified truncation remainder is
-    (M |t|)**(order+1) / (order+1)! with M the largest generator norm on
-    the coarse nodes; if ``tol`` is given and the remainder exceeds it, a
+    intervals from 0 to ``t`` (``t`` may be negative).  The series acts on
+    the operator by backward nesting, R_0 = a_op and R_j(v) = int_v^t
+    i[dh(w), R_{j-1}(w)] dw by cumulative Simpson quadrature, and sums the
+    terms R_j(0), on that grid and on the coarse grid of every other fine
+    node (``n_nodes`` intervals).  The fine sum is returned; the largest
+    entry of its difference from the coarse one is the quadrature error
+    estimate.  The certified truncation remainder is
+    (M |t|)**(order+1) / (order+1)! with M the largest norm of B -> i[dh, B]
+    on the coarse nodes, which is the spread max(e) - min(e) of the
+    eigenvalues of dh; if ``tol`` is given and the remainder exceeds it, a
     TruncationError is raised before any quadrature is run.
     """
     if order < 1:
@@ -435,22 +430,30 @@ def dyson_phillips(
     if t == 0.0:
         return DysonResult(operator=a_op.copy(), remainder_bound=0.0, quadrature_error=0.0)
     grid = np.linspace(0.0, t, 2 * n_nodes + 1)
-    deltas = _generator_superop(
+    dh = model.effective_hamiltonian(
         params, np.array([model.density_matrix(drive(float(s))) for s in grid])
     )
-    m_norm = float(np.linalg.norm(deltas[::2], ord=2, axis=(1, 2)).max())
+    m_norm = float(np.ptp(np.linalg.eigvalsh(dh[::2]), axis=-1).max())
     remainder = (m_norm * abs(t)) ** (order + 1) / math.factorial(order + 1)
     if tol is not None and remainder > tol:
         raise TruncationError(
             f"series remainder bound {remainder:.3e} exceeds tolerance {tol:.1e}; "
             "shorten t or raise the order"
         )
+
+    def series(gens: np.ndarray, step: float) -> np.ndarray:
+        total = a_op
+        r = np.broadcast_to(a_op, gens.shape)
+        for _ in range(order):
+            cum = _cumulative_simpson(1j * (gens @ r - r @ gens), step)
+            r = cum[-1] - cum
+            total = total + r[0]
+        return total
+
     step = t / (2 * n_nodes)
-    coarse = _dyson_sum(deltas[::2], 2 * step, order)
-    fine = _dyson_sum(deltas, step, order)
-    quad_err = float(np.max(np.abs(fine - coarse)))
-    out = (fine @ a_op.ravel()).reshape(4, 4)
-    return DysonResult(operator=out, remainder_bound=remainder, quadrature_error=quad_err)
+    fine = series(dh, step)
+    quad_err = float(np.max(np.abs(fine - series(dh[::2], 2 * step))))
+    return DysonResult(operator=fine, remainder_bound=remainder, quadrature_error=quad_err)
 
 
 def heisenberg_propagator_ode(

@@ -31,14 +31,17 @@ def parity_commutator_norm(matrix: np.ndarray) -> float:
 def validated_density_matrices(matrices: np.ndarray) -> np.ndarray:
     """Check a 4x4 density matrix, or a stack (..., 4, 4) of them.
 
-    Each matrix must be Hermitian, of unit trace and positive, each to
-    1e-10.  Returns the matrices made exactly Hermitian, as a read-only
-    array; the message names the index of the first failing matrix of a
-    stack.
+    Each matrix must have finite entries and be Hermitian, of unit trace
+    and positive, each to 1e-10.  Returns the matrices made exactly
+    Hermitian, as a read-only array; the message names the index of the
+    first failing matrix of a stack.
     """
     m = np.asarray(matrices, dtype=complex)
     if m.shape[-2:] != (4, 4):
         raise ValueError(f"on-site states must be 4x4, got {m.shape}")
+    bad = ~np.isfinite(m).all(axis=(-2, -1))
+    if bad.any():
+        raise ValueError(f"{_where(bad)}density matrix has a non-finite entry")
     adjoint = np.swapaxes(m, -1, -2).conj()
     bad = np.max(np.abs(m - adjoint), axis=(-2, -1)) > HERMITICITY_TOL
     if bad.any():

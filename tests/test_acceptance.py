@@ -26,7 +26,7 @@ def test_01_car_exactness():
 
 def test_02_density_conservation():
     # electron, magnetization, double-occupancy densities constant to 1e-8
-    _run(verification.check_conserved_densities, 30.0)
+    _run(verification.check_conserved_densities, 5.0)
 
 
 def test_03_cooper_field_rotation():
@@ -80,7 +80,7 @@ def test_11_equilibrium_stationarity():
 def test_12_dyson_series():
     # order-8 series at t=0.1 matches the ODE propagator within 1e-8; the
     # detail reports the worst certified remainder and quadrature estimate
-    result = _run(verification.check_dyson, 10.0)
+    result = _run(verification.check_dyson, 5.0)
     assert "worst remainder bound" in result.detail
     assert "worst quadrature error" in result.detail
 

@@ -4,13 +4,14 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from mfbcs import cli, dynamics, fock, verification
+from mfbcs import cli, dynamics, fock, model, verification
 from mfbcs.cli import TRAJECTORY_HEADER, ResultTable, parse_config, run
 from mfbcs.errors import CapacityError, ConfigError, NumericalAbortError
 from mfbcs.flow import mixture_flow
@@ -536,21 +537,54 @@ def test_main_rejects_bad_mixture_weights(tmp_path, capsys, command, text, messa
     assert not out.exists()
 
 
-@pytest.mark.parametrize(
-    "command", ["flow", "simulate", "converge", "liouville", "rotor", "gap", "scan"]
-)
-def test_main_extreme_couplings_exit_3(tmp_path, capsys, command):
-    # finite couplings whose precession frequency overflows
+_EXTREME = "states: 1\ntimes: {start: 0.0, stop: 0.5, step: 0.5}\n"
+_NUMERIC_COMMANDS = ["flow", "simulate", "converge", "liouville", "rotor", "gap", "scan"]
+
+
+@pytest.mark.parametrize("command", _NUMERIC_COMMANDS)
+def test_main_extreme_couplings_exit_3(tmp_path, capsys, monkeypatch, command):
+    # finite couplings whose precession frequency overflows; the parser
+    # bounds them, so they reach the numerics through a RunConfig built directly
+    parse = cli.parse_config
+
+    def extreme(text, command=None):
+        return replace(
+            parse(text, command),
+            params=model.ModelParams(mu=-1.0e308, gamma=1.0e308),
+            scan=(("gamma", (1.0e308,)),),
+        )
+
+    monkeypatch.setattr(cli, "parse_config", extreme)
     cfg = tmp_path / "cfg.yaml"
-    cfg.write_text(
-        "gamma: 1.0e+308\nmu: -1.0e+308\nstates: 1\n"
-        "times: {start: 0.0, stop: 0.5, step: 0.5}\nscan: {gamma: [1.0e+308]}\n"
-    )
+    cfg.write_text(_EXTREME)
     out = tmp_path / "out.csv"
     with np.errstate(all="ignore"):
         assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", _NUMERIC_COMMANDS)
+def test_main_overflowing_couplings_exit_1(tmp_path, capsys, command):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("gamma: 1.0e+308\nmu: -1.0e+308\nscan: {gamma: [1.0e+308]}\n" + _EXTREME)
+    out = tmp_path / "out.csv"
+    assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config field 'gamma': magnitude must be at most 1e+150")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["mu", "h", "lambda", "gamma", "beta"])
+def test_parse_bounds_couplings_and_scan_values(key):
+    assert parse_config(f"command: scan\n{key}: 1.0e+150\nscan: {{{key}: [1.0e+150]}}\n")
+    for value in ("2.0e+150", "-2.0e+150") if key in ("mu", "h") else ("2.0e+150",):
+        with pytest.raises(ConfigError, match=f"^config field '{key}': magnitude"):
+            parse_config(f"command: gap\n{key}: {value}\n")
+        with pytest.raises(ConfigError, match=f"^config field 'scan.{key}': magnitudes"):
+            parse_config(f"command: scan\nscan: {{{key}: [1.0, {value}]}}\n")
+    with pytest.raises(ConfigError, match=f"^config field 'scan.{key}': magnitudes"):
+        parse_config(f"command: scan\nscan: {{{key}: {{start: 1.0, stop: 1.0e+151}}}}\n")
 
 
 _MIXTURE = (
@@ -675,3 +709,24 @@ def test_no_module_level_scipy_import():
             if any(n == "scipy" or n.startswith("scipy.") for n in names):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+_SIDECAR_CONFIGS = {
+    "flow": _MIXTURE,
+    "simulate": "gamma: 2.0\nsites: [2, 3]\ninitial: {kind: random, seed: 3}\n",
+    "converge": "sites: [2, 1000000000]\n" + _MIXTURE,
+    "gap": "gamma: 8.0\nbeta: 2.0\n",
+    "scan": "scan: {gamma: [0.0, 4.0, 8.0], beta: {start: 0.5, stop: 1.0, num: 2}}\n",
+    "liouville": "gamma: 2.0\nstates: 2\n" + _EXTREME,
+    "rotor": "gamma: 2.0\nstates: 2\n",
+    "verify": "seed: 1\n",
+}
+
+
+@pytest.mark.parametrize("command", sorted(_SIDECAR_CONFIGS))
+def test_sidecar_bytes_match_safe_dump(tmp_path, capsys, command):
+    # the sidecar is written by libyaml's emitter where PyYAML has it
+    out = tmp_path / "out.csv"
+    table = run(parse_config(f"command: {command}\nout: {out}\n" + _SIDECAR_CONFIGS[command]))
+    expected = yaml.safe_dump(table.metadata, sort_keys=True).encode()
+    assert (tmp_path / "out.csv.meta.yaml").read_bytes() == expected

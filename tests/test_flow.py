@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import cumulative_simpson
 
-from mfbcs import classical, flow, fock, model
+from mfbcs import classical, flow, fock, model, verification
 from mfbcs.errors import TruncationError
 from mfbcs.flow import (
     ClosedFormFlow,
@@ -120,17 +120,22 @@ def test_flow_preserves_evenness(rng):
 
 
 def test_closed_form_matches_flow_ode(rng):
-    params = model.ModelParams.random(rng)
-    rho0 = OnSiteState.random_even(rng)
-    forward = np.linspace(0.0, 5.0, 11)
-    evaluator = ClosedFormFlow.from_matrix(params, rho0.matrix)
-    for times in (forward, -forward):
-        assert np.max(np.abs(evaluator(times) - flow_ode(params, rho0.matrix, times))) < 1e-9
+    params = [model.ModelParams.random(rng) for _ in range(3)]
+    seeds = [OnSiteState.random_even(rng).matrix for _ in range(2)]
     # a displaced seed outside the state cone follows the same closed form
-    seed = rho0.matrix + 1.5 * classical.even_traceless_basis()[0]
-    assert np.linalg.eigvalsh(seed).min() < 0
-    closed = ClosedFormFlow.from_matrix(params, seed)(forward)
-    assert np.max(np.abs(closed - flow_ode(params, seed, forward))) < 1e-9
+    seeds.append(seeds[0] + 1.5 * classical.even_traceless_basis()[0])
+    assert np.linalg.eigvalsh(seeds[2]).min() < 0
+    forward = np.linspace(0.0, 5.0, 11)
+    for times in (forward, -forward):
+        ode = flow_ode(params, np.array(seeds), times)
+        assert ode.shape == (3, 11, 4, 4)
+        for p, seed, got in zip(params, seeds, ode):
+            assert np.max(np.abs(ClosedFormFlow.from_matrix(p, seed)(times) - got)) < 1e-9
+    # one state is the stack of one
+    single = flow_ode(params[:1], np.array(seeds[:1]), forward)[0]
+    assert np.max(np.abs(ClosedFormFlow.from_matrix(params[0], seeds[0])(forward) - single)) < 1e-9
+    with pytest.raises(ValueError, match="3 stacked 4x4 seeds"):
+        flow_ode(params, np.array(seeds[:2]), forward)
 
 
 def test_closed_form_seed_validation_and_shapes(rng):
@@ -338,6 +343,62 @@ def test_dyson_backward_and_odd_grid_vs_ode(rng, t, n_nodes):
     assert np.max(np.abs(res.operator - ref)) < 1e-10
     assert 0.0 < res.remainder_bound < 1e-10
     assert 0.0 < res.quadrature_error < 1e-8
+
+
+def _dyson_sum_reference(deltas, step, order):
+    """The 16x16 superoperator series 1 + S_1(t) + ... + S_order(t),
+    S_k(u) = int_0^u S_{k-1}(v) Delta(v) dv, by forward nesting."""
+    total = np.eye(16, dtype=complex)
+    s_prev = total
+    for _ in range(order):
+        s_prev = flow._cumulative_simpson(s_prev @ deltas, step)
+        total = total + s_prev[-1]
+    return total
+
+
+@pytest.mark.parametrize(
+    "t, n_nodes", [(0.1, 512), (-0.1, 512), (0.3, 512), (-0.1, 65), (0.1, 129)]
+)
+def test_dyson_operator_series_matches_superoperator_series(t, n_nodes):
+    # the series applied to a_op by backward nesting against the forward-nested
+    # superoperator series applied to vec(a_op).  The two are different
+    # Simpson quadratures of the same nested integrals, so they agree to
+    # within the quadrature error (3e-12 at n_nodes = 33, 5e-8 at 3): the
+    # grids here are fine enough for 1e-12; 65 and 129 are odd coarse grids
+    rng = np.random.default_rng(int(1000 * abs(t)) + n_nodes)
+    for _ in range(3):
+        params = model.ModelParams.random(rng)
+        traj = flow_onsite(params, OnSiteState.random_even(rng), [0.0])
+        a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        a = a + a.conj().T
+        res = dyson_phillips(params, traj.state_matrix, t, 8, a, n_nodes=n_nodes)
+        grid = np.linspace(0.0, t, 2 * n_nodes + 1)
+        deltas = flow._generator_superop(params, np.array([traj.state_matrix(s) for s in grid]))
+        ref = _dyson_sum_reference(deltas, t / (2 * n_nodes), 8) @ a.ravel()
+        assert np.max(np.abs(res.operator - ref.reshape(4, 4))) <= 1e-12
+
+
+def test_dyson_norm_is_generator_spectral_norm(rng):
+    # M in the remainder bound (M |t|)**9 / 9! is the spread of dh's
+    # eigenvalues, the exact spectral norm of the normal superoperator
+    t = 0.2
+    for _ in range(10):
+        params = model.ModelParams.random(rng, gamma_max=4.0)
+        rho = OnSiteState.random_even(rng)
+        res = dyson_phillips(params, lambda s: rho, t, 8, np.eye(4), n_nodes=1)
+        m_norm = (res.remainder_bound * math.factorial(9)) ** (1 / 9) / t
+        exact = np.linalg.norm(flow._generator_superop(params, rho), 2)
+        assert abs(m_norm - exact) <= 1e-13 * exact
+
+
+def test_density_conservation_runs_no_oracle(monkeypatch):
+    def no_oracle(*_args):
+        raise AssertionError("density-conservation ran the DOP853 oracle")
+
+    monkeypatch.setattr(flow, "flow_ode", no_oracle)
+    monkeypatch.setattr(verification, "flow_ode", no_oracle)
+    verification._prop1_suite.cache_clear()
+    assert verification.check_conserved_densities(0).passed
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 513, 1025])

@@ -36,20 +36,23 @@ def test_validation_rejects_bad_matrices():
         OnSiteState.from_matrix(odd, require_even=True)
 
 
-def _not_hermitian():
+def _mixed_with(index, value):
     m = np.eye(4, dtype=complex) / 4.0
-    m[0, 1] = 0.3
+    m[index] = value
     return m
 
 
 @pytest.mark.parametrize(
     "bad",
     [
-        _not_hermitian(),
+        _mixed_with((0, 1), 0.3),  # not Hermitian
         np.eye(4, dtype=complex),  # trace 4
         np.diag([1.0 + 2e-10, -2e-10, 0.0, 0.0]).astype(complex),  # eigenvalue -2e-10
+        _mixed_with((0, 0), np.nan),
+        _mixed_with((2, 1), np.inf),
+        np.full((4, 4), np.nan, dtype=complex),
     ],
-    ids=["not-hermitian", "trace-4", "negative-eigenvalue"],
+    ids=["not-hermitian", "trace-4", "negative-eigenvalue", "nan", "inf", "all-nan"],
 )
 @pytest.mark.parametrize("k", [0, 3, 6])
 def test_stack_check_rejects_what_from_matrix_rejects(bad, k):
