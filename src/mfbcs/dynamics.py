@@ -18,7 +18,9 @@ while d, m and w stay at their initial values.  Each time point costs O(1).
 
 Everything else here is the dense side, up to fock.DENSE_SITE_LIMIT = 5
 sites (dimension 1024): the oracle the closed form is checked against,
-Gibbs states and pressures.  :func:`evolve_expectation` evaluates a list of
+Gibbs states and pressures.  The last two are diagonalized one (N_up, N_dn)
+sector at a time (:func:`mfbcs.model.sector_blocks`), as every term of H_N
+conserves both numbers.  :func:`evolve_expectation` evaluates a list of
 observables on a whole time grid at once.  It rotates the initial state and
 each observable into the eigenbasis of H once, D~ = U^dagger D U and
 A~ = U^dagger A U; every time point is then the phase sum
@@ -371,23 +373,28 @@ def evolve_expectation(
 def gibbs_state(
     n_sites: int, params: model.ModelParams, spec: GibbsSpec
 ) -> GlobalState:
-    """Thermal state of H_N."""
-    fock.check_site_count(n_sites)
-    prop = Propagator.from_matrix(model.hamiltonian(n_sites, params))
-    return GlobalState(
-        n_sites=n_sites, kind="mixed", data=prop.gibbs_density(spec.beta), origin="gibbs"
-    )
+    """Thermal state of H_N from one eigh per (N_up, N_dn) sector.
+
+    The weights share one shift, the least eigenvalue, against overflow.
+    """
+    blocks = [(idx, Propagator.from_matrix(h)) for idx, h in model.sector_blocks(n_sites, params)]
+    shift = min(prop.eigenvalues[0] for _, prop in blocks)
+    out = np.zeros((4**n_sites, 4**n_sites), dtype=complex)
+    for idx, prop in blocks:
+        u = prop.eigenvectors
+        out[np.ix_(idx, idx)] = (u * np.exp(-spec.beta * (prop.eigenvalues - shift))) @ u.conj().T
+    out /= np.trace(out).real
+    return GlobalState(n_sites=n_sites, kind="mixed", data=out, origin="gibbs")
 
 
 def pressure_fv(
     n_sites: int, params: model.ModelParams, spec: GibbsSpec
 ) -> float:
-    """Finite-volume pressure (beta N)^{-1} ln Trace e^{-beta H}."""
+    """Finite-volume pressure (beta N)^{-1} ln Trace e^{-beta H}, from the sector spectrum."""
     # imported here, not at module level: scipy.special takes ~0.2 s to load
     from scipy.special import logsumexp
 
-    fock.check_site_count(n_sites)
-    w = np.linalg.eigvalsh(model.hamiltonian(n_sites, params))
+    w = model.spectrum(n_sites, params)
     return float(logsumexp(-spec.beta * w) / (spec.beta * n_sites))
 
 
@@ -396,8 +403,7 @@ def condensate_density_fv(
 ) -> float:
     """Thermal condensate density of Cooper pairs, omega(c0+ c0)/N, in [0, 1]."""
     state = gibbs_state(n_sites, params, spec)
-    c0 = fock.condensate_op(n_sites)
-    value = float(state.expectation((c0.conj().T @ c0).tocsr()).real / n_sites)
+    value = float(state.expectation(model._hamiltonian_terms(n_sites).pair_hopping).real / n_sites)
     if not -1e-10 <= value <= 1.0 + 1e-10:
         raise ArithmeticError(f"condensate density {value} outside [0, 1]")
     return value

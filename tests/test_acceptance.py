@@ -52,8 +52,9 @@ def test_06_gap_equation():
 
 
 def test_07_pressure_identity_trend():
-    # |pressure_fv(N) - sup| smaller at N=5 than at N=1 (strong coupling)
-    _run(verification.check_pressure_trend, 300.0)
+    # |pressure_fv(N) - sup| smaller at N=5 than at N=1 (strong coupling); the
+    # sector pressure matches a full eigvalsh of H_N at N <= 4 to 1e-12 relative
+    _run(verification.check_pressure_trend, 5.0)
 
 
 def test_08_liouville_residuals():
@@ -87,7 +88,7 @@ def test_12_dyson_series():
 
 def test_13_energy_bound():
     # ||H_N|| <= C N ||m|| for N <= 4 over 10 seeded parameter sets
-    _run(verification.check_energy_bound, 60.0)
+    _run(verification.check_energy_bound, 5.0)
 
 
 def test_summary_all_pass():

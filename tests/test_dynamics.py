@@ -167,6 +167,15 @@ def test_gibbs_with_field_is_product():
     assert np.max(np.abs(two - np.kron(one, one))) < 1e-12
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_sector_gibbs_state_matches_full_eigh(n, rng):
+    params = model.ModelParams.random(rng, gamma_max=8.0)
+    beta = 1.7
+    state = dynamics.gibbs_state(n, params, dynamics.GibbsSpec(beta=beta))
+    full = dynamics.Propagator.from_matrix(model.hamiltonian(n, params)).gibbs_density(beta)
+    assert np.max(np.abs(state.density() - full)) <= 1e-12
+
+
 def test_pressure_free_case():
     spec = dynamics.GibbsSpec(beta=2.0)
     p = dynamics.pressure_fv(2, model.ModelParams(), spec)
@@ -449,3 +458,30 @@ def test_fv_convergence_passing_row_is_unchanged():
     result = verification.check_fv_convergence()
     assert result.passed
     assert (result.max_violation, result.threshold) == (0.0, 0.0)
+
+
+def test_pressure_trend_row_reports_sector_disagreement(monkeypatch):
+    # mutation: one (N_up, N_dn) block assembled with its diagonal off by 1e-9;
+    # the trend still holds, so the row must carry the sector vs dense gap
+    original = model.sector_blocks
+
+    def misassembled(n_sites, params):
+        blocks = original(n_sites, params)
+        idx, block = blocks[-1]
+        blocks[-1] = (idx, block + 1e-9 * np.eye(len(idx)))
+        return blocks
+
+    monkeypatch.setattr(model, "sector_blocks", misassembled)
+    result = verification.check_pressure_trend()
+    assert not result.passed
+    assert result.threshold == verification.SECTOR_PRESSURE_TOL
+    assert result.max_violation > result.threshold
+    assert result.line().startswith("[FAIL] pressure-identity-trend: violation ")
+
+
+def test_pressure_trend_passing_row_keeps_its_gaps():
+    result = verification.check_pressure_trend()
+    rows = equilibrium.variational_vs_finite_pressure(model.ModelParams(gamma=8.0), 1.0, 5)
+    assert result.passed
+    assert (result.max_violation, result.threshold) == (rows[4].gap, rows[0].gap)
+    assert "sectors vs dense eigvalsh N=1..4: " in result.detail

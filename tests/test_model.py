@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mfbcs import fock, model
+from mfbcs import dynamics, fock, model
 from mfbcs.errors import CapacityError
 from mfbcs.states import OnSiteState
 
@@ -154,7 +154,7 @@ def test_bcs_hubbard_model_structure():
     assert model.bcs_hubbard_model(model.ModelParams(mu=0.4)).mean_field_terms == ()
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_generic_local_hamiltonian_matches_direct(n, rng):
     params = model.ModelParams.random(rng)
     via_model = model.model_local_hamiltonian(model.bcs_hubbard_model(params), n)
@@ -314,3 +314,56 @@ def test_energy_bound_trivial_and_seeded(rng):
 def test_dense_capacity_error():
     with pytest.raises(CapacityError):
         model.hamiltonian(6, model.ModelParams())
+
+
+def test_dense_limits_leave_no_cached_terms():
+    model._hamiltonian_terms.cache_clear()
+    params = model.ModelParams(gamma=1.0)
+    for n, error in ((6, CapacityError), (0, ValueError)):
+        for build in (model.hamiltonian, model.spectrum):
+            with pytest.raises(error):
+                build(n, params)
+        with pytest.raises(error):
+            dynamics.gibbs_state(n, params, dynamics.GibbsSpec(beta=1.0))
+    assert model._hamiltonian_terms.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_spectrum_matches_full_eigvalsh(n, rng):
+    for _ in range(3):
+        params = model.ModelParams.random(rng, gamma_max=8.0)
+        assert params.h != 0.0
+        full = np.linalg.eigvalsh(model.hamiltonian(n, params))
+        sectors = model.spectrum(n, params)
+        assert sectors.shape == (4**n,)
+        assert np.max(np.abs(sectors - full)) <= 1e-12 * max(1.0, np.max(np.abs(full)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_sectors_partition_the_basis_and_block_the_hamiltonian(n, rng):
+    terms = model._hamiltonian_terms(n)
+    assert len(terms.sectors) == (n + 1) ** 2
+    joined = np.concatenate(terms.sectors)
+    assert np.array_equal(np.sort(joined), np.arange(4**n))
+    label = np.empty(4**n, dtype=int)
+    for k, idx in enumerate(terms.sectors):
+        label[idx] = k
+        # one (N_up, N_dn) pair per sector
+        assert not np.any(np.ptp(terms.counts[:2, idx], axis=1))
+    h = model.hamiltonian_sparse(n, model.ModelParams.random(rng, gamma_max=8.0)).tocoo()
+    across = label[h.row] != label[h.col]
+    assert not np.any(h.data[across] != 0.0)
+    # the blocks are H_N restricted to each sector
+    params = model.ModelParams.random(rng, gamma_max=8.0)
+    dense = model.hamiltonian(n, params)
+    for idx, block in model.sector_blocks(n, params):
+        assert np.array_equal(block, dense[np.ix_(idx, idx)])
+
+
+def test_energy_bound_lhs_is_largest_full_eigenvalue(rng):
+    np_ = model.NormParams()
+    for n in (1, 2, 3, 4):
+        params = model.ModelParams.random(rng, gamma_max=3.0)
+        full = np.linalg.eigvalsh(model.hamiltonian(n, params))
+        lhs = model.energy_bound_check(n, params, np_).lhs
+        assert abs(lhs - np.max(np.abs(full))) <= 1e-12 * max(1.0, lhs)
