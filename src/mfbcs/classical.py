@@ -12,7 +12,14 @@ is an operator-valued gradient centered so that rho(Df(rho)) = 0, and
 is a Poisson bracket on polynomial observables.  The mean-field flow is
 Hamiltonian for this bracket with the quadratic energy function
 h(rho) = rho(h0) - gamma |rho(a_dn a_up)|**2; ``liouville_residuals``
-measures how well d/dt f(flow) matches {h, f(flow)} numerically.
+measures how well d/dt f(flow) matches {h, f(flow)} numerically, over a
+whole time grid from one stacked closed-form flow.
+
+Everything here works on stacks: the operators of an observable are one
+read-only (n, 4, 4) array, ``arguments`` maps a state or a stack (..., 4, 4)
+to the expectations (..., n) by one einsum, polynomial values and gradients
+broadcast over the leading axes, and the convex derivative and the bracket
+are contractions over the same axes.
 
 Projecting a state to (Re z, Im z, shifted density) turns the flow into the
 rigid precession of a symmetric rotor; ``rotor_map`` and ``rotor_flow``
@@ -23,13 +30,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from . import fock, model
-from .flow import ClosedFormFlow, flow_onsite
+from . import dynamics, fock, model
+from .flow import ClosedFormFlow
 from .model import StateLike
 from .states import OnSiteState
 
@@ -39,33 +46,52 @@ PAIR_Y: np.ndarray = 1j * (fock.PAIR_DAG - fock.PAIR)
 
 HERMITIAN_TOL = 1e-12
 
+_EYE4 = np.eye(4, dtype=complex)
 
-def _check_operators(operators: Sequence[np.ndarray]) -> Tuple[np.ndarray, ...]:
-    ops = []
+
+def _check_operators(operators: Sequence[np.ndarray]) -> np.ndarray:
+    """The operators as one read-only (n, 4, 4) stack, each checked self-adjoint."""
     for k, op in enumerate(operators):
-        a = np.asarray(op, dtype=complex)
-        if a.shape != (4, 4):
+        if np.shape(op) != (4, 4):
             raise ValueError(f"operator {k} must be 4x4")
-        if np.max(np.abs(a - a.conj().T)) > HERMITIAN_TOL:
-            raise ValueError(f"operator {k} must be self-adjoint")
-        a = a.copy()
-        a.setflags(write=False)
-        ops.append(a)
-    if not ops:
+    if not len(operators):
         raise ValueError("need at least one operator")
-    return tuple(ops)
+    stack = np.array(operators, dtype=complex)
+    # "<=" so that a NaN entry fails too
+    bad = ~(abs(stack - stack.swapaxes(-1, -2).conj()).max(axis=(-2, -1)) <= HERMITIAN_TOL)
+    if bad.any():
+        raise ValueError(f"operator {np.flatnonzero(bad)[0]} must be self-adjoint")
+    stack.setflags(write=False)
+    return stack
+
+
+def _expectations(operators: np.ndarray, rho: StateLike) -> np.ndarray:
+    """rho(A_j) for every operator, shape (..., n) for a state or a stack (..., 4, 4)."""
+    return np.einsum("...ij,nji->...n", model.density_matrix(rho), operators).real
+
+
+def _scalar_or_array(value: np.ndarray) -> Union[complex, np.ndarray]:
+    """A Python complex for one state, the array for a stack."""
+    return complex(value) if np.ndim(value) == 0 else value
+
+
+def _row_by_row(fn: Callable[[np.ndarray], object], x: np.ndarray) -> np.ndarray:
+    """fn applied to each row x[..., :] of an argument array, as complex."""
+    out = np.array([fn(row) for row in x.reshape(-1, x.shape[-1])], dtype=complex)
+    return out.reshape(x.shape[:-1] + out.shape[1:])
 
 
 @dataclass(frozen=True)
 class CylindricalFunction:
     """g composed with the expectations of finitely many self-adjoint operators.
 
-    ``gradient`` may be omitted, in which case central differences with one
-    Richardson step are used; exact gradients are preferred where available
-    (see :class:`PolynomialFunction`).
+    ``g`` (and ``gradient``) take one argument vector; on a stack of states
+    they are applied row by row.  ``gradient`` may be omitted, in which case
+    central differences with one Richardson step are used; exact gradients
+    are preferred where available (see :class:`PolynomialFunction`).
     """
 
-    operators: Tuple[np.ndarray, ...]
+    operators: np.ndarray
     g: Callable[[np.ndarray], complex]
     gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None
     fd_step: float = 1e-6
@@ -78,13 +104,15 @@ class CylindricalFunction:
         return len(self.operators)
 
     def arguments(self, rho: StateLike) -> np.ndarray:
-        d = model.density_matrix(rho)
-        return np.array([np.trace(d @ a).real for a in self.operators])
+        return _expectations(self.operators, rho)
 
-    def __call__(self, rho: StateLike) -> complex:
-        return complex(self.g(self.arguments(rho)))
+    def __call__(self, rho: StateLike) -> Union[complex, np.ndarray]:
+        return _scalar_or_array(_row_by_row(self.g, self.arguments(rho)))
 
     def gradient_args(self, x: np.ndarray) -> np.ndarray:
+        return _row_by_row(self._gradient_row, np.asarray(x))
+
+    def _gradient_row(self, x: np.ndarray) -> np.ndarray:
         if self.gradient is not None:
             return np.asarray(self.gradient(x), dtype=complex)
         out = np.empty(self.n_args, dtype=complex)
@@ -125,56 +153,77 @@ class PolynomialFunction:
     ``monomials`` is a list of (coefficient, index multiset); the multiset
     lists which operator expectation each factor refers to, repeats allowed.
     The empty tuple is the constant monomial.
+
+    The monomials are also held as index tables, padded to the largest
+    degree with an index of the constant 1, so that the value and the
+    gradient are a gather, a product and one contraction over any stack
+    (..., n) of argument vectors.
     """
 
-    operators: Tuple[np.ndarray, ...]
+    operators: np.ndarray
     monomials: Tuple[Monomial, ...]
+    # (M, D) factor indices, padded with n (the constant 1); (M, D, D - 1)
+    # indices of the other factors of each position; coefficients (M,);
+    # (M, D, n) coefficient of each position on the argument it differentiates
+    _factors: np.ndarray = field(init=False, repr=False, compare=False)
+    _others: np.ndarray = field(init=False, repr=False, compare=False)
+    _coeffs: np.ndarray = field(init=False, repr=False, compare=False)
+    _slots: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "operators", _check_operators(self.operators))
-        canon = []
-        for coeff, idx in self.monomials:
-            idx = tuple(sorted(int(i) for i in idx))
-            if idx and (min(idx) < 0 or max(idx) >= len(self.operators)):
+        ops = _check_operators(self.operators)
+        n = len(ops)
+        canon = tuple((complex(c), tuple(sorted(map(int, idx)))) for c, idx in self.monomials)
+        for _, idx in canon:
+            if idx and (idx[0] < 0 or idx[-1] >= n):
                 raise ValueError(f"monomial index out of range: {idx}")
-            canon.append((complex(coeff), idx))
-        object.__setattr__(self, "monomials", tuple(canon))
+        n_mono = len(canon)
+        degree = max((len(idx) for _, idx in canon), default=0)
+        factors = np.array(
+            [idx + (n,) * (degree - len(idx)) for _, idx in canon], dtype=int
+        ).reshape(n_mono, degree)
+        leave_out = [[q for q in range(degree) if q != p] for p in range(degree)]
+        coeffs = np.array([c for c, _ in canon], dtype=complex)
+        slots = np.zeros((n_mono, degree, n + 1), dtype=complex)
+        slots[np.arange(n_mono)[:, None], np.arange(degree), factors] = coeffs[:, None]
+        others = factors[:, np.array(leave_out, dtype=int).reshape(degree, max(degree - 1, 0))]
+        for name, value in (
+            ("operators", ops),
+            ("monomials", canon),
+            ("_factors", factors),
+            ("_others", others),
+            ("_coeffs", coeffs),
+            ("_slots", slots[..., :n]),
+        ):
+            object.__setattr__(self, name, value)
 
     @property
     def n_args(self) -> int:
         return len(self.operators)
 
     def arguments(self, rho: StateLike) -> np.ndarray:
-        d = model.density_matrix(rho)
-        return np.array([np.trace(d @ a).real for a in self.operators])
+        return _expectations(self.operators, rho)
 
-    def g(self, x: np.ndarray) -> complex:
-        total = 0.0 + 0.0j
-        for coeff, idx in self.monomials:
-            term = coeff
-            for i in idx:
-                term *= x[i]
-            total += term
-        return total
+    def _padded(self, x: np.ndarray) -> np.ndarray:
+        """The arguments with the constant 1 appended at index n."""
+        x = np.asarray(x)
+        return np.concatenate([x, np.ones(x.shape[:-1] + (1,))], axis=-1)
+
+    def g(self, x: np.ndarray) -> Union[complex, np.ndarray]:
+        """Value at argument vectors of shape (..., n); shape (...)."""
+        terms = np.prod(self._padded(x)[..., self._factors], axis=-1)
+        return np.einsum("...m,m->...", terms, self._coeffs)[()]
 
     def gradient_args(self, x: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.n_args, dtype=complex)
-        for coeff, idx in self.monomials:
-            for pos in range(len(idx)):
-                term = coeff
-                for q, i in enumerate(idx):
-                    if q != pos:
-                        term *= x[i]
-                out[idx[pos]] += term
-        return out
+        """Exact gradient at argument vectors of shape (..., n); shape (..., n)."""
+        rest = np.prod(self._padded(x)[..., self._others], axis=-1)
+        return np.einsum("...mp,mpk->...k", rest, self._slots)
 
-    def __call__(self, rho: StateLike) -> complex:
-        return complex(self.g(self.arguments(rho)))
+    def __call__(self, rho: StateLike) -> Union[complex, np.ndarray]:
+        return _scalar_or_array(self.g(self.arguments(rho)))
 
     def _require_same_ops(self, other: "PolynomialFunction") -> None:
-        if len(self.operators) != len(other.operators) or any(
-            not np.array_equal(a, b) for a, b in zip(self.operators, other.operators)
-        ):
+        if not np.array_equal(self.operators, other.operators):
             raise ValueError("polynomial algebra requires a shared operator tuple")
 
     def __add__(self, other: "PolynomialFunction") -> "PolynomialFunction":
@@ -201,23 +250,27 @@ PhaseFunction = Union[CylindricalFunction, PolynomialFunction]
 
 
 def convex_derivative(f: PhaseFunction, rho: StateLike) -> np.ndarray:
-    """Centered operator-valued gradient; rho(convex_derivative(f, rho)) = 0."""
+    """Centered operator-valued gradient; rho(convex_derivative(f, rho)) = 0.
+
+    ``rho`` may be a stack (..., 4, 4); the derivatives come back stacked.
+    """
     d = model.density_matrix(rho)
     x = f.arguments(d)
-    grad = f.gradient_args(x)
-    out = np.zeros((4, 4), dtype=complex)
-    eye = np.eye(4, dtype=complex)
-    for a, xj, gj in zip(f.operators, x, grad):
-        out += gj * (a - xj * eye)
-    return out
+    centered = f.operators - x[..., None, None] * _EYE4
+    return np.einsum("...j,...jab->...ab", f.gradient_args(x), centered)
 
 
-def poisson_bracket(f: PhaseFunction, g: PhaseFunction, rho: StateLike) -> complex:
-    """{f, g}(rho) = rho(i [Df(rho), Dg(rho)]); antisymmetric and Leibniz."""
+def poisson_bracket(
+    f: PhaseFunction, g: PhaseFunction, rho: StateLike
+) -> Union[complex, np.ndarray]:
+    """{f, g}(rho) = rho(i [Df(rho), Dg(rho)]); antisymmetric and Leibniz.
+
+    One complex for one state, an array (...) for a stack (..., 4, 4).
+    """
     d = model.density_matrix(rho)
     df = convex_derivative(f, d)
     dg = convex_derivative(g, d)
-    return complex(np.trace(d @ (1j * (df @ dg - dg @ df))))
+    return _scalar_or_array(np.einsum("...ij,...ji->...", d, 1j * (df @ dg - dg @ df)))
 
 
 def classical_hamiltonian(params: model.ModelParams) -> PolynomialFunction:
@@ -284,7 +337,7 @@ def even_traceless_basis() -> Tuple[np.ndarray, ...]:
     return tuple(m.astype(complex) for m in mats)
 
 
-_EVEN_BASIS = even_traceless_basis()
+_EVEN_BASIS = np.array(even_traceless_basis())
 
 
 #: Smallest accepted finite-difference step of the Liouville residuals.
@@ -293,30 +346,38 @@ FD_STEP_FLOOR = 1e-11
 
 @dataclass(frozen=True)
 class LiouvilleResult:
-    lhs: float  # time derivative of f along the flow (real part)
-    rhs: float  # Poisson bracket {h, V_t f} at the initial state
-    residual: float
-    fd_error_estimate: float
+    """One observable's residuals, each a float or an array shaped like the times."""
+
+    lhs: Union[float, np.ndarray]  # time derivative of f along the flow (real part)
+    rhs: Union[float, np.ndarray]  # Poisson bracket {h, V_t f} at the initial state
+    residual: Union[float, np.ndarray]
+    fd_error_estimate: Union[float, np.ndarray]
 
 
 def liouville_residuals(
     params: model.ModelParams,
     fs: Dict[str, PhaseFunction],
     rho0: OnSiteState,
-    t: float,
+    times: Union[float, np.ndarray],
     fd_step: float = 1e-4,
 ) -> Dict[str, LiouvilleResult]:
-    """Liouville residuals for several observables at one (state, time).
+    """Liouville residuals for several observables at one state and many times.
 
-    For each f this measures |d/dt f(flow(t)) - {h, V_t f}(rho0)| with both
-    sides numerical.  The time derivative uses a Richardson-refined central
-    difference of the solved flow.  The bracket side needs the convex
+    For each f and each t of ``times`` (a float or an array) this measures
+    |d/dt f(flow(t)) - {h, V_t f}(rho0)| with both sides numerical.  The
+    time derivative uses a Richardson-refined central difference of the
+    flow at t -+ h and t -+ h/2.  The bracket side needs the convex
     derivative of the evolved observable V_t f as a function on the state
     space; it is assembled from directional finite differences along the
     seven-direction even traceless basis, each direction evaluated by the
     closed-form flow of the displaced initial matrix (which may leave the
-    state cone; the closed form does not mind).  Those flows do not depend
-    on f, so they are shared by the whole batch.
+    state cone; the closed form does not mind).
+
+    rho0 and its 28 displaced seeds are one stacked :class:`ClosedFormFlow`,
+    evaluated at t, t -+ h and t -+ h/2 for TIME_BLOCK times at a time
+    (``dynamics.TIME_BLOCK``), so memory does not grow with the grid; each
+    observable is evaluated once per block on the whole stack.  The fields
+    of each result have the shape of ``times``.
 
     ``fd_step`` must stay at least ``FD_STEP_FLOOR``, otherwise the
     difference quotient is dominated by rounding; the returned estimate
@@ -327,49 +388,47 @@ def liouville_residuals(
             f"fd_step must be >= {FD_STEP_FLOOR:g}; below it the difference "
             "quotient would be dominated by rounding"
         )
-
-    h_t = fd_step
-    traj = flow_onsite(params, rho0, [t - h_t, t - 0.5 * h_t, t + 0.5 * h_t, t + h_t])
-
-    # perturbed evolutions, shared across all observables
-    d0 = rho0.matrix.astype(complex)
-    scales = (fd_step, 0.5 * fd_step)
-    evolved: Dict[Tuple[int, int, float], np.ndarray] = {}
-    for k, b in enumerate(_EVEN_BASIS):
-        for s in scales:
-            for sign in (1, -1):
-                evolved[(k, sign, s)] = ClosedFormFlow.from_matrix(
-                    params, d0 + sign * s * b
-                )(t)
+    rho0.require_even()
+    times = np.asarray(times, dtype=float)
+    flat = times.ravel()
+    h = fd_step
+    d0 = rho0.matrix
+    # seeds: rho0, then d0 + sign * s * b ordered by (basis b, scale s, sign)
+    scales = np.array([h, 0.5 * h])
+    shifts = scales[:, None] * np.array([1.0, -1.0])
+    displaced = d0 + shifts[None, :, :, None, None] * _EVEN_BASIS[:, None, None]
+    seeds = np.concatenate([d0[None], displaced.reshape(-1, 4, 4)])
+    flows = ClosedFormFlow.from_matrix(params, seeds)
+    offsets = (-h, -0.5 * h, 0.5 * h, h)
 
     dh_class = convex_derivative(classical_hamiltonian(params), d0)
-    eye = np.eye(4, dtype=complex)
+    sides = {name: np.empty((3, flat.size), dtype=complex) for name in fs}
+    for start in range(0, flat.size, dynamics.TIME_BLOCK):
+        block = slice(start, start + dynamics.TIME_BLOCK)
+        t = flat[block]
+        # rho0 at t - h, t - h/2, t + h/2, t + h, then the displaced seeds at t
+        around = [flows(t + dt)[:, :1] for dt in offsets]
+        states = np.concatenate(around + [flows(t)[:, 1:]], axis=1)
+        for name, f in fs.items():
+            vals = f(states)
+            d1 = (vals[:, 3] - vals[:, 0]) / (2.0 * h)
+            d2 = (vals[:, 2] - vals[:, 1]) / h
+            pm = vals[:, 4:].reshape(-1, len(_EVEN_BASIS), 2, 2)
+            deriv = (pm[..., 0] - pm[..., 1]) / (2.0 * scales)
+            coeff = (4.0 * deriv[..., 1] - deriv[..., 0]) / 3.0
+            fd_err = (abs(d2 - d1) + abs(deriv[..., 1] - deriv[..., 0]).sum(axis=-1)) / 3.0
+            dvf = np.einsum("bk,kij->bij", coeff, _EVEN_BASIS)
+            # centering: rho0(D V_t f) = 0
+            dvf -= np.einsum("ij,bji->b", d0, dvf)[:, None, None] * _EYE4
+            rhs = np.einsum("ij,bji->b", d0, 1j * (dh_class @ dvf - dvf @ dh_class))
+            sides[name][:, block] = ((4.0 * d2 - d1) / 3.0, rhs, fd_err)
     out: Dict[str, LiouvilleResult] = {}
-    for name, f in fs.items():
-        vals = [complex(f(s)) for s in traj.matrices]
-        d1 = (vals[3] - vals[0]) / (2.0 * h_t)
-        d2 = (vals[2] - vals[1]) / h_t
-        lhs = (4.0 * d2 - d1) / 3.0
-        fd_err = abs(d2 - d1) / 3.0
-
-        dvf = np.zeros((4, 4), dtype=complex)
-        for k, b in enumerate(_EVEN_BASIS):
-            deriv = []
-            for s in scales:
-                plus = f(evolved[(k, 1, s)])
-                minus = f(evolved[(k, -1, s)])
-                deriv.append((plus - minus) / (2.0 * s))
-            coeff = (4.0 * deriv[1] - deriv[0]) / 3.0
-            fd_err += abs(deriv[1] - deriv[0]) / 3.0
-            dvf += coeff * b
-        dvf -= np.trace(d0 @ dvf) * eye  # centering: rho0(D V_t f) = 0
-
-        rhs = complex(np.trace(d0 @ (1j * (dh_class @ dvf - dvf @ dh_class))))
+    for name, (lhs, rhs, fd_err) in sides.items():
         out[name] = LiouvilleResult(
-            lhs=float(np.real(lhs)),
-            rhs=float(np.real(rhs)),
-            residual=float(abs(complex(lhs) - rhs)),
-            fd_error_estimate=float(fd_err),
+            lhs=lhs.real.reshape(times.shape)[()],
+            rhs=rhs.real.reshape(times.shape)[()],
+            residual=np.abs(lhs - rhs).reshape(times.shape)[()],
+            fd_error_estimate=fd_err.real.reshape(times.shape)[()],
         )
     return out
 

@@ -285,8 +285,8 @@ def parse_config(text: str, command: Optional[str] = None) -> RunConfig:
     if n_states < 1:
         raise _fail("states", "must be >= 1")
     fd_step = _as_float(raw.get("fd_step", 1e-4), "fd_step")
-    if fd_step <= 0:
-        raise _fail("fd_step", "must be > 0")
+    if fd_step < classical.FD_STEP_FLOOR:
+        raise _fail("fd_step", f"must be >= {classical.FD_STEP_FLOOR:g}")
 
     seed = _as_int(raw.get("seed", 0), "seed")
     threads = _as_int(raw.get("threads", 1), "threads")
@@ -517,19 +517,24 @@ def _run_scan(config: RunConfig) -> ResultTable:
 def _run_liouville(config: RunConfig) -> ResultTable:
     rng = np.random.default_rng(config.seed)
     suite = classical.polynomial_suite()
-    rows = []
+    names = sorted(suite)
+    times = np.array(config.times)
+    fields = ("lhs", "rhs", "residual", "fd_error_estimate")
+    blocks = []
     for k in range(config.n_states):
         rho0 = OnSiteState.random_even(rng)
-        for t in config.times:
-            results = classical.liouville_residuals(
-                config.params, suite, rho0, float(t), config.fd_step
-            )
-            for name in sorted(results):
-                r = results[name]
-                rows.append((k, float(t), name, r.lhs, r.rhs, r.residual, r.fd_error_estimate))
+        results = classical.liouville_residuals(
+            config.params, suite, rho0, times, config.fd_step
+        )
+        # rows by time, then by observable name
+        blocks.append(
+            [np.full(len(times) * len(names), k), np.repeat(times, len(names)),
+             np.tile(names, len(times))]
+            + [np.stack([getattr(results[n], f) for n in names], axis=1).ravel() for f in fields]
+        )
     return ResultTable(
         ["state", "t", "observable", "lhs", "rhs", "residual", "fd_error"],
-        list(zip(*rows)),
+        [np.concatenate(col) for col in zip(*blocks)],
         {"fd_step": config.fd_step},
     )
 

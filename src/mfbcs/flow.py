@@ -18,7 +18,9 @@ linear:
     D_t = e^{i nu t N/2} e^{-itK} D_0 e^{itK} e^{-i nu t N/2},
     K = dh(rho_0) + (nu/2) N.
 
-One 4x4 eigendecomposition of K serves every time, backward ones included.
+One 4x4 eigendecomposition of K serves every time, backward ones included;
+a stack of seeds is diagonalized in one batched call and evaluated at every
+(time, seed) pair at once.
 :func:`flow_ode`, kept only as the independent oracle of the verification
 suite, integrates the nonlinear equation for a stack of K states in one
 DOP853 solve at rtol 1e-12.
@@ -34,8 +36,8 @@ condensate density (see :func:`interference_prediction`).
 :func:`dyson_phillips` evaluates the time-ordered (Heisenberg picture)
 series for a prescribed drive, applied to the operator by nested quadrature;
 it is the independent cross-check pinning the sign convention of the flow.
-The drive is evaluated once on a uniform fine grid, and the coarse level of
-the quadrature error estimate is every other fine node.
+The drive is evaluated in one call on a uniform fine grid, and the coarse
+level of the quadrature error estimate is every other fine node.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ import numpy as np
 from . import fock, model
 from .errors import NumericalAbortError, TruncationError
 from .states import HERMITICITY_TOL, TRACE_TOL, OnSiteState, ProductMixture
-from .states import validated_density_matrices
+from .states import _where, validated_density_matrices
 
 _N_TOTAL = fock.SITE_OBSERVABLES["d"]
 _N_DIAG = np.diag(_N_TOTAL).real
@@ -101,45 +103,54 @@ def observables(params: model.ModelParams, rho: OnSiteState) -> SiteObservables:
 
 @dataclass(frozen=True)
 class ClosedFormFlow:
-    """Exact solution of the self-consistent flow from one initial matrix.
+    """Exact solution of the self-consistent flow from a seed or a stack of seeds.
 
-    Construction does one 4x4 ``eigh``, K = dh(rho_0) + (nu/2) N =
-    U diag(E) U^dagger; calling
-    the evaluator at any array of times (negative ones included) is then
-    phases and two 4x4 products per time.  Any Hermitian trace-1 seed is
+    Construction does one batched ``eigh`` of K = dh(rho_0) + (nu/2) N =
+    U diag(E) U^dagger over the seeds, of shape S + (4, 4); calling the
+    evaluator at any array of times (negative ones included) is then phases
+    and two 4x4 products per (time, seed).  Any Hermitian trace-1 seed is
     accepted, positive or not: the rotation law needs only those two
     properties, so finite-difference displacements out of the state cone
     evolve by the same formula.
     """
 
-    basis: np.ndarray = field(repr=False)  # eigenvectors U of K
+    basis: np.ndarray = field(repr=False)  # eigenvectors U of K, S + (4, 4)
     freqs: np.ndarray = field(repr=False)  # nu n_i / 2 - E_k, the phase rates of U
     seed: np.ndarray = field(repr=False)  # U^dagger D_0 U
 
     @classmethod
     def from_matrix(cls, params: model.ModelParams, d0: np.ndarray) -> "ClosedFormFlow":
+        """The flows of a 4x4 seed or a stack S + (4, 4) of them.
+
+        Every seed must be Hermitian and of unit trace, each to 1e-10; the
+        message names the index of the first failing seed of a stack.
+        """
         d0 = np.asarray(d0, dtype=complex)
-        if d0.shape != (4, 4):
-            raise ValueError(f"flow seed must be 4x4, got {d0.shape}")
-        if (
-            np.max(np.abs(d0 - d0.conj().T)) > HERMITICITY_TOL
-            or abs(np.trace(d0) - 1.0) > TRACE_TOL
-        ):
-            raise ValueError("the closed-form flow needs a Hermitian trace-1 seed")
-        nu = model.precession(params, float(np.trace(d0 @ _N_TOTAL).real))
+        if d0.shape[-2:] != (4, 4):
+            raise ValueError(f"flow seeds must be 4x4, got {d0.shape}")
+        # "<=" so that a NaN entry fails too
+        asymmetry = abs(d0 - d0.swapaxes(-1, -2).conj()).max(axis=(-2, -1))
+        trace_gap = abs(d0.trace(axis1=-2, axis2=-1) - 1.0)
+        good = (asymmetry <= HERMITICITY_TOL) & (trace_gap <= TRACE_TOL)
+        if not good.all():
+            raise ValueError(f"{_where(~good)}the closed-form flow needs a Hermitian trace-1 seed")
+        density = (d0 @ _N_TOTAL).trace(axis1=-2, axis2=-1).real
+        nu = np.asarray(model.precession(params, density))[..., None, None]
         energies, basis = np.linalg.eigh(
             model.effective_hamiltonian(params, d0) + 0.5 * nu * _N_TOTAL
         )
-        freqs = 0.5 * nu * _N_DIAG[:, None] - energies[None, :]
-        return cls(basis, freqs, basis.conj().T @ d0 @ basis)
+        freqs = 0.5 * nu * _N_DIAG[:, None] - energies[..., None, :]
+        return cls(basis, freqs, basis.swapaxes(-1, -2).conj() @ d0 @ basis)
 
     def __call__(self, t: Union[float, np.ndarray]) -> np.ndarray:
         """D_t = W_t (U^dagger D_0 U) W_t^dagger with W_t = e^{i nu t N/2} U e^{-itE}.
 
-        The result has shape ``np.shape(t) + (4, 4)``.
+        The result has shape ``np.shape(t) + S + (4, 4)`` for seeds of shape
+        ``S + (4, 4)``.
         """
-        w = self.basis * np.exp(1j * np.asarray(t, dtype=float)[..., None, None] * self.freqs)
-        return w @ self.seed @ np.swapaxes(w, -1, -2).conj()
+        t = np.asarray(t, dtype=float)[(...,) + (None,) * self.freqs.ndim]
+        w = self.basis * np.exp(1j * t * self.freqs)
+        return w @ self.seed @ w.swapaxes(-1, -2).conj()
 
 
 def flow_ode(
@@ -206,8 +217,9 @@ class Trajectory(SiteObservables):
                     f"[{arr.min():.3e}, {arr.max():.3e}] not within [{lo}, {hi}]"
                 )
 
-    def state_matrix(self, t: float) -> np.ndarray:
-        """Density matrix at an arbitrary time, from the closed form."""
+    def state_matrix(self, t: Union[float, np.ndarray]) -> np.ndarray:
+        """Density matrix at an arbitrary time, or their stack
+        ``np.shape(t) + (4, 4)`` at an array of times, from the closed form."""
         return self.evaluator(t)
 
     def __len__(self) -> int:
@@ -337,7 +349,12 @@ def interference_prediction(
 # Dyson series cross-check (Heisenberg picture)
 # ---------------------------------------------------------------------------
 
-DriveFn = Callable[[float], Union[OnSiteState, np.ndarray]]
+#: A prescribed drive: maps a time to the on-site state entering the
+#: generator.  :func:`dyson_phillips` calls it once with the whole array of
+#: grid times and takes a result of shape ``grid.shape + (4, 4)``, or one
+#: state broadcast to every time (a constant drive such as ``lambda s: rho``);
+#: :func:`heisenberg_propagator_ode` calls it with one float at a time.
+DriveFn = Callable[[Union[float, np.ndarray]], Union[OnSiteState, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -406,9 +423,9 @@ def dyson_phillips(
 ) -> DysonResult:
     """Truncated time-ordered series for the driven Heisenberg evolution of a_op.
 
-    ``drive`` maps a time to the on-site state entering the generator; it is
-    evaluated once per node of the fine grid of ``2 n_nodes`` uniform
-    intervals from 0 to ``t`` (``t`` may be negative).  The series acts on
+    ``drive`` (:data:`DriveFn`) is called once, on the array of nodes of the
+    fine grid of ``2 n_nodes`` uniform intervals from 0 to ``t`` (``t`` may
+    be negative).  The series acts on
     the operator by backward nesting, R_0 = a_op and R_j(v) = int_v^t
     i[dh(w), R_{j-1}(w)] dw by cumulative Simpson quadrature, and sums the
     terms R_j(0), on that grid and on the coarse grid of every other fine
@@ -431,7 +448,7 @@ def dyson_phillips(
         return DysonResult(operator=a_op.copy(), remainder_bound=0.0, quadrature_error=0.0)
     grid = np.linspace(0.0, t, 2 * n_nodes + 1)
     dh = model.effective_hamiltonian(
-        params, np.array([model.density_matrix(drive(float(s))) for s in grid])
+        params, np.broadcast_to(model.density_matrix(drive(grid)), grid.shape + (4, 4))
     )
     m_norm = float(np.ptp(np.linalg.eigvalsh(dh[::2]), axis=-1).max())
     remainder = (m_norm * abs(t)) ** (order + 1) / math.factorial(order + 1)

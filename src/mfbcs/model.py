@@ -11,9 +11,11 @@ site count matters, so all builders take N directly (a cubic box of side L
 in d dimensions corresponds to N = (2L+1)**d).
 
 The N-site builders share per-N pieces made once (``_hamiltonian_terms``):
-the site sums of n_up, n_dn and n_up n_dn, the pair hopping c0+ c0 and the
-basis grouped by (N_up, N_dn).  Every term conserves both numbers, so
-:func:`spectrum` diagonalizes H_N one sector block at a time.
+the site sums of n_up, n_dn and n_up n_dn, the pair hopping c0+ c0, the
+basis grouped by (N_up, N_dn) and the dense pair-hopping block of each
+sector.  Every term conserves both numbers, so :func:`spectrum`
+diagonalizes H_N one sector block at a time, each block the on-site
+diagonal plus -gamma times the cached hopping block.
 
 The one-site algebra that the mean-field flow and the equilibrium theory
 share is defined here once: the decoupled operator h0 - gamma (c P+ + cbar P)
@@ -108,6 +110,7 @@ class _Terms(NamedTuple):
     counts: np.ndarray  # rows: diagonals of sum_x n_up, sum_x n_dn, sum_x n_up n_dn
     pair_hopping: sp.csr_matrix  # c0+ c0
     sectors: Tuple[np.ndarray, ...]  # basis indices of each (N_up, N_dn) pair
+    hopping_blocks: Tuple[np.ndarray, ...]  # dense c0+ c0 restricted to each sector
 
 
 @lru_cache(maxsize=None)
@@ -124,7 +127,11 @@ def _hamiltonian_terms(n_sites: int) -> _Terms:
     order = np.argsort(key, kind="stable")
     order.setflags(write=False)  # the sectors are views of it, shared by every caller
     sectors = tuple(np.split(order, np.flatnonzero(np.diff(key[order])) + 1))
-    return _Terms(counts, (c0.conj().T @ c0).tocsr(), sectors)
+    hopping = (c0.conj().T @ c0).tocsr()
+    blocks = tuple(hopping[idx][:, idx].toarray() for idx in sectors)
+    for block in blocks:
+        block.setflags(write=False)
+    return _Terms(counts, hopping, sectors, blocks)
 
 
 def hamiltonian_sparse(n_sites: int, params: ModelParams) -> sp.csr_matrix:
@@ -133,9 +140,14 @@ def hamiltonian_sparse(n_sites: int, params: ModelParams) -> sp.csr_matrix:
     import scipy.sparse as sp
 
     terms = _hamiltonian_terms(n_sites)
-    n_up, n_dn, double = terms.counts
-    onsite = 2.0 * params.lam * double - params.mu * (n_up + n_dn) - params.h * (n_up - n_dn)
+    onsite = _onsite_diagonal(terms, params)
     return (sp.diags(onsite.astype(complex)) - params.gamma * terms.pair_hopping).tocsr()
+
+
+def _onsite_diagonal(terms: _Terms, params: ModelParams) -> np.ndarray:
+    """Diagonal of sum_x h0_x: 2 lam W - mu (N_up + N_dn) - h (N_up - N_dn)."""
+    n_up, n_dn, double = terms.counts
+    return 2.0 * params.lam * double - params.mu * (n_up + n_dn) - params.h * (n_up - n_dn)
 
 
 def hamiltonian(n_sites: int, params: ModelParams) -> np.ndarray:
@@ -149,8 +161,12 @@ def sector_blocks(n_sites: int, params: ModelParams) -> List[Tuple[np.ndarray, n
     Exact: the on-site part is diagonal and pair hopping moves an up-down
     pair as a whole.  At N = 5 the largest block is 100 x 100.
     """
-    h = hamiltonian_sparse(n_sites, params)
-    return [(idx, h[idx][:, idx].toarray()) for idx in _hamiltonian_terms(n_sites).sectors]
+    terms = _hamiltonian_terms(n_sites)
+    onsite = _onsite_diagonal(terms, params)
+    return [
+        (idx, np.diag(onsite[idx]) - params.gamma * hopping)
+        for idx, hopping in zip(terms.sectors, terms.hopping_blocks)
+    ]
 
 
 def spectrum(n_sites: int, params: ModelParams) -> np.ndarray:

@@ -241,3 +241,86 @@ def test_polynomial_algebra_guard():
         _ = f * g  # different operator tuples
     h = f * 2.0
     assert h.monomials[0][0] == 2.0
+
+
+def _state_stack(rng, shape):
+    stack = np.empty(shape + (4, 4), dtype=complex)
+    for k in np.ndindex(shape):
+        stack[k] = OnSiteState.random_even(rng).matrix
+    return stack
+
+
+def test_operators_are_one_read_only_stack():
+    f = PolynomialFunction((classical.PAIR_X, classical.PAIR_Y), ((1.0, (0, 1)),))
+    assert f.operators.shape == (2, 4, 4) and not f.operators.flags.writeable
+    with pytest.raises(ValueError, match="operator 1 must be 4x4"):
+        PolynomialFunction((classical.PAIR_X, np.eye(3)), ((1.0, (0,)),))
+    with pytest.raises(ValueError, match="operator 2 must be self-adjoint"):
+        PolynomialFunction((classical.PAIR_X, classical.PAIR_Y, fock.PAIR), ((1.0, (0,)),))
+    with pytest.raises(ValueError, match="at least one operator"):
+        PolynomialFunction((), ((1.0, ()),))
+
+
+@pytest.mark.parametrize("shape", [(7,), (2, 3)])
+def test_observables_on_a_stack_equal_the_per_state_loop(rng, shape):
+    stack = _state_stack(rng, shape)
+    ops = (classical.PAIR_X, classical.PAIR_Y, (fock.N_UP + fock.N_DN).astype(complex))
+    poly = PolynomialFunction(
+        ops, ((0.5 - 1j, ()), (2.0, (0,)), (-1.5j, (1, 2)), (0.25, (0, 0, 2)))
+    )
+    cyl = CylindricalFunction(ops, g=lambda x: math.sin(x[0]) * x[1] - x[2] ** 2)
+    h_fn = classical_hamiltonian(model.ModelParams.random(rng))
+    for f in (poly, cyl, h_fn):
+        args, values = f.arguments(stack), f(stack)
+        derivs = convex_derivative(f, stack)
+        brackets = poisson_bracket(h_fn, f, stack)
+        assert args.shape == shape + (f.n_args,)
+        assert values.shape == brackets.shape == shape
+        assert derivs.shape == shape + (4, 4)
+        for k in np.ndindex(shape):
+            assert np.array_equal(args[k], f.arguments(stack[k]))
+            one = f(stack[k])
+            assert isinstance(one, complex) and values[k] == one
+            assert np.max(np.abs(derivs[k] - convex_derivative(f, stack[k]))) <= 1e-15
+            assert abs(brackets[k] - poisson_bracket(h_fn, f, stack[k])) <= 1e-14
+    x = poly.arguments(stack)
+    grads = poly.gradient_args(x)
+    for k in np.ndindex(shape):
+        assert np.max(np.abs(grads[k] - poly.gradient_args(x[k]))) <= 1e-15
+
+
+def test_polynomial_gradient_against_monomial_rule(rng):
+    # d/dx_j of sum_m c_m prod x_i, term by term
+    poly = PolynomialFunction(
+        (classical.PAIR_X, classical.PAIR_Y), ((3.0, ()), (2.0j, (0, 0, 1)), (-1.0, (1,)))
+    )
+    x = rng.normal(size=2)
+    expected = np.array([4.0j * x[0] * x[1], 2.0j * x[0] ** 2 - 1.0])
+    assert np.max(np.abs(poly.gradient_args(x) - expected)) <= 1e-14
+    assert abs(poly.g(x) - (3.0 + 2.0j * x[0] ** 2 * x[1] - x[1])) <= 1e-14
+    const = PolynomialFunction((classical.PAIR_X,), ((2.5, ()),))
+    assert const.g(x[:1]) == 2.5 and np.array_equal(const.gradient_args(x[:1]), [0.0])
+
+
+def test_liouville_grid_matches_scalar_times(rng):
+    from mfbcs import dynamics
+
+    params = model.ModelParams.random(rng)
+    rho0 = OnSiteState.random_even(rng)
+    suite = polynomial_suite()
+    # one point more than a time block, some of them negative
+    times = np.linspace(-2.0, 3.0, dynamics.TIME_BLOCK + 1)
+    grid = liouville_residuals(params, suite, rho0, times)
+    for k in range(len(times)):
+        scalar = liouville_residuals(params, suite, rho0, float(times[k]))
+        for name, r in scalar.items():
+            assert isinstance(r.lhs, float) and isinstance(r.residual, float)
+            g = grid[name]
+            assert g.lhs.shape == g.rhs.shape == g.residual.shape == times.shape
+            for field in ("lhs", "rhs", "residual", "fd_error_estimate"):
+                assert abs(getattr(g, field)[k] - getattr(r, field)) <= 1e-12
+    assert max(float(r.residual.max()) for r in grid.values()) < 1e-6
+    # a 2-d grid keeps its shape
+    two_d = liouville_residuals(params, suite, rho0, times[:6].reshape(2, 3))
+    assert two_d["density"].lhs.shape == (2, 3)
+    assert np.max(np.abs(two_d["density"].lhs - grid["density"].lhs[:6].reshape(2, 3))) <= 1e-12

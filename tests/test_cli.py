@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 import yaml
 
-from mfbcs import cli, dynamics, fock, model, verification
+from mfbcs import classical, cli, dynamics, fock, model, verification
 from mfbcs.cli import TRAJECTORY_HEADER, ResultTable, parse_config, run
 from mfbcs.errors import CapacityError, ConfigError, NumericalAbortError
 from mfbcs.flow import mixture_flow
+from mfbcs.states import OnSiteState
 
 
 def test_parse_minimal_defaults():
@@ -276,6 +277,43 @@ def test_liouville_command(tmp_path):
     )
     table = run(cfg)
     assert max(table.columns[5]) < 1e-5
+
+
+def test_liouville_table_rows_follow_state_time_observable(tmp_path):
+    cfg = parse_config(
+        "command: liouville\ngamma: 1.0\nmu: 0.3\nstates: 2\nseed: 7\n"
+        "times: {start: -0.5, stop: 0.5, step: 0.5}\n"
+    )
+    table = run(replace(cfg, out=str(tmp_path / "l.csv")))
+    assert table.header == ["state", "t", "observable", "lhs", "rhs", "residual", "fd_error"]
+    rng = np.random.default_rng(7)
+    suite = classical.polynomial_suite()
+    rows = []
+    for k in range(2):
+        rho0 = OnSiteState.random_even(rng)
+        for t in cfg.times:
+            res = classical.liouville_residuals(cfg.params, suite, rho0, t, cfg.fd_step)
+            rows += [(k, t, n, res[n].lhs, res[n].rhs, res[n].residual,
+                      res[n].fd_error_estimate) for n in sorted(res)]
+    expected = list(zip(*rows))
+    for col, ref in zip(table.columns[:3], expected[:3]):
+        assert col.tolist() == list(ref)
+    for col, ref in zip(table.columns[3:], expected[3:]):
+        assert np.max(np.abs(col - np.array(ref))) <= 1e-12
+
+
+@pytest.mark.parametrize("value", ["1.0e-12", "0.0", "-1.0e-4"])
+def test_main_rejects_fd_step_below_floor(tmp_path, capsys, value):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(f"gamma: 1.0\nfd_step: {value}\n")
+    out = tmp_path / "out.csv"
+    assert cli.main(["liouville", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config field 'fd_step': must be >= 1e-11")
+    assert "Traceback" not in err
+    assert not out.exists()
+    floor = parse_config("command: liouville\nfd_step: 1.0e-11\n")
+    assert floor.fd_step == classical.FD_STEP_FLOOR
 
 
 def test_main_exit_codes(tmp_path, monkeypatch, capsys):

@@ -151,6 +151,43 @@ def test_closed_form_seed_validation_and_shapes(rng):
     assert np.max(np.abs(traj.state_matrix(0.0) - rho0.matrix)) < 1e-14
 
 
+@pytest.mark.parametrize("shape", [(5,), (2, 3)])
+def test_stacked_closed_form_matches_per_seed_flows(rng, shape):
+    params = model.ModelParams.random(rng)
+    basis = classical.even_traceless_basis()
+    seeds = np.empty(shape + (4, 4), dtype=complex)
+    for k in np.ndindex(shape):
+        # states and displaced seeds outside the state cone alike
+        seeds[k] = OnSiteState.random_even(rng).matrix + 0.3 * rng.normal() * basis[k[-1]]
+    stacked = ClosedFormFlow.from_matrix(params, seeds)
+    times = np.array([[-1.5, 0.0], [0.4, 3.0]])
+    got = stacked(times)
+    assert got.shape == times.shape + shape + (4, 4)
+    assert stacked(0.4).shape == shape + (4, 4)
+    for k in np.ndindex(shape):
+        single = ClosedFormFlow.from_matrix(params, seeds[k])
+        ref = single(times)
+        assert ref.shape == times.shape + (4, 4)
+        assert np.max(np.abs(got[(...,) + k + (slice(None), slice(None))] - ref)) <= 1e-14
+
+
+def test_stacked_closed_form_names_the_bad_seed(rng):
+    params = model.ModelParams.random(rng)
+    seeds = np.array([OnSiteState.random_even(rng).matrix for _ in range(6)])
+    for k, bad in ((4, 2.0 * seeds[4]), (1, seeds[1] + 0.1j * np.triu(np.ones((4, 4)), 1))):
+        broken = seeds.copy()
+        broken[k] = bad
+        with pytest.raises(ValueError, match=f"at index {k}: .*Hermitian trace-1"):
+            ClosedFormFlow.from_matrix(params, broken)
+        # a stack of shape (2, 3) names the flat index, as the state checks do
+        with pytest.raises(ValueError, match=f"at index {k}: "):
+            ClosedFormFlow.from_matrix(params, broken.reshape(2, 3, 4, 4))
+    with pytest.raises(ValueError, match="Hermitian trace-1"):
+        ClosedFormFlow.from_matrix(params, np.full((4, 4), np.nan))
+    with pytest.raises(ValueError, match="4x4"):
+        ClosedFormFlow.from_matrix(params, np.eye(3))
+
+
 @given(seed=st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=10, deadline=None)
 def test_property_densities_conserved(seed):
@@ -297,6 +334,30 @@ def test_dyson_flow_drive_vs_ode(rng):
     heis = np.trace(rho0.matrix @ res.operator)
     schro = np.trace(traj.matrices[1] @ a)
     assert abs(heis - schro) < 1e-10
+
+
+@pytest.mark.parametrize("t", [0.1, -0.1])
+def test_dyson_grid_drive_equals_scalar_drive(rng, t):
+    # the drive is called once on the whole grid; a wrapper that evaluates
+    # it one float at a time must give the same operator, bit for bit
+    params = model.ModelParams.random(rng)
+    traj = flow_onsite(params, OnSiteState.random_even(rng), [0.0, t])
+    calls = []
+
+    def scalar_drive(s):
+        calls.append(np.shape(s))
+        return np.array([traj.state_matrix(float(x)) for x in np.ravel(s)]).reshape(
+            np.shape(s) + (4, 4)
+        )
+
+    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    a = a + a.conj().T
+    grid = dyson_phillips(params, traj.state_matrix, t, 8, a, n_nodes=64)
+    looped = dyson_phillips(params, scalar_drive, t, 8, a, n_nodes=64)
+    assert calls == [(129,)]
+    assert np.array_equal(grid.operator, looped.operator)
+    assert grid.remainder_bound == looped.remainder_bound
+    assert grid.quadrature_error == looped.quadrature_error
 
 
 def test_dyson_truncation_error_raised(rng):
