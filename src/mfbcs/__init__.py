@@ -16,7 +16,7 @@ from .errors import (
     NumericalAbortError,
     TruncationError,
 )
-from .model import ModelParams, NormParams
+from .model import ModelParams
 from .states import OnSiteState, ProductMixture
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "ConfigError",
     "MfbcsError",
     "ModelParams",
-    "NormParams",
     "NumericalAbortError",
     "OnSiteState",
     "ProductMixture",

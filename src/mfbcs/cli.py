@@ -21,6 +21,7 @@ import argparse
 import concurrent.futures
 import hashlib
 import math
+import re
 import sys
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -61,6 +62,9 @@ MAX_COUPLING = 1e150
 #: documents, same marks, several times faster than the pure-Python ones.
 _YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 _YAML_DUMPER = yaml.CSafeDumper if yaml.__with_libyaml__ else yaml.SafeDumper
+#: A decimal with an exponent that YAML 1.1 reads as text: ``8e0``,
+#: ``8.0e0`` and ``1e-11`` lack the dot or the exponent sign it requires.
+_EXPONENT_FLOAT = re.compile(r"[-+]?(\d+\.?\d*|\.\d+)[eE][-+]?\d+")
 #: The time grid of a config without ``times``: t = 0, 0.1, ..., 1.
 DEFAULT_TIMES = tuple(float(t) for t in np.round(np.arange(0.0, 1.0001, 0.1), 12))
 
@@ -97,7 +101,10 @@ def _fail(path: str, message: str) -> ConfigError:
 
 def _as_float(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise _fail(path, f"expected a number, got {value!r}")
+        hint = ""
+        if isinstance(value, str) and _EXPONENT_FLOAT.fullmatch(value):
+            hint = "; write the number with a dot and a signed exponent, for example 8.0e+0"
+        raise _fail(path, f"expected a number, got {value!r}{hint}")
     try:
         number = float(value)
     except OverflowError:  # an integer beyond the float range

@@ -490,14 +490,15 @@ def check_dyson(seed: int = 0) -> CheckResult:
 
 
 def check_energy_bound(seed: int = 0) -> CheckResult:
+    """||H_N|| <= C N (||h0|| + 4 C gamma) with C = pi**2/3 - 1, at N = 1..4."""
+
     def body():
         rng = np.random.default_rng(seed + 13)
-        norm_params = model.NormParams()
         worst_margin = -np.inf
         for _ in range(10):
             params = model.ModelParams.random(rng, gamma_max=3.0)
             for n in range(1, 5):
-                res = model.energy_bound_check(n, params, norm_params)
+                res = model.energy_bound_check(n, params)
                 if not res.passed:
                     return False, res.lhs - res.rhs, 0.0, f"failed at N={n}, {params}"
                 worst_margin = max(worst_margin, res.lhs - res.rhs)

@@ -500,6 +500,24 @@ def test_main_rejects_non_finite_numbers(tmp_path, capsys, command, text):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "value, hinted", [("8e0", True), ("8.0e0", True), ("1e-11", True), ("nan", False)]
+)
+def test_main_rejects_dotless_float_with_hint(tmp_path, capsys, value, hinted):
+    # YAML 1.1 reads these as text; they stay refused, and a decimal with an
+    # exponent is told the form that parses
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(f"gamma: {value}\n")
+    out = tmp_path / "out.csv"
+    assert cli.main(["gap", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    message = f"error: config field 'gamma': expected a number, got '{value}'"
+    hint = "; write the number with a dot and a signed exponent, for example 8.0e+0"
+    assert err == message + (hint if hinted else "") + "\n"
+    assert not out.exists()
+    assert parse_config("command: gap\ngamma: 8.0e+0\n").params.gamma == 8.0
+
+
 @pytest.mark.parametrize("command", ["simulate", "converge"])
 def test_closed_form_commands_at_ten_thousand_sites(tmp_path, command):
     cfg = tmp_path / "cfg.yaml"

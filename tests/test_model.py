@@ -1,3 +1,9 @@
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,10 +12,6 @@ from mfbcs.errors import CapacityError
 from mfbcs.states import OnSiteState
 
 from conftest import decoupled_hamiltonian_n
-
-# lattice constant at d=1, eps=1, frozen from partial sums + integral tail
-# (closed form pi**2/3 - 1 confirmed by the same oracle)
-C_1D_EPS1 = 2.289868133696453
 
 # finite-volume pressure at N=2, beta=1, mu=1, h=lam=0, gamma=2, frozen from
 # an independently assembled 16x16 matrix and dense eigensolve
@@ -123,70 +125,59 @@ def test_effective_hamiltonian_hermitian(rng):
     assert np.abs(dh - dh.conj().T).max() < 1e-14
 
 
-def test_interaction_requires_even_operator():
-    with pytest.raises(ValueError):
-        model.Interaction(fock.A_UP)
+def _bcs_hubbard_atoms(params):
+    """The model as (short-range site operator, ((weight, factors), ...))."""
+    return model.onsite_h(params), ((-params.gamma, (fock.PAIR_DAG, fock.PAIR)),)
 
 
-def test_interaction_rejects_nonzero_or_infinite_range():
-    with pytest.raises(ValueError):
-        model.Interaction(fock.PAIR, range_=float("inf"))
-    with pytest.raises(NotImplementedError):
-        model.Interaction(fock.PAIR, range_=1.0)
+def _mean_field_hamiltonian(n, short_range, atoms):
+    """U_N = sum_x Phi_x + sum_atoms w N**(1-k) prod_j (sum_x Psi^(j)_x), site by site."""
+    def site_sum(op):
+        return sum(fock.embed_local(n, x, op).toarray() for x in range(n))
+
+    out = site_sum(short_range)
+    for weight, factors in atoms:
+        prod = np.eye(4**n, dtype=complex)
+        for factor in factors:
+            prod = prod @ site_sum(factor)
+        out = out + weight * float(n) ** (1 - len(factors)) * prod
+    return out
 
 
-def test_interaction_norms():
-    np_ = model.NormParams()
-    assert model.interaction_norm(model.Interaction(fock.PAIR), np_) == 1.0
-    assert model.interaction_norm(model.Interaction(np.zeros((4, 4))), np_) == 0.0
-    phi = model.Interaction(model.onsite_h(model.ModelParams(mu=1.0, lam=0.5)))
-    assert abs(model.interaction_norm(phi, np_) - 1.0) < 1e-14
-
-
-def test_bcs_hubbard_model_structure():
-    params = model.ModelParams(mu=0.4, gamma=1.5)
-    m = model.bcs_hubbard_model(params)
-    m.require_self_adjoint()
-    assert len(m.mean_field_terms) == 1
-    term = m.mean_field_terms[0]
-    assert term.order == 2 and term.weight == -1.5
-    # gamma = 0 drops the mean-field term entirely
-    assert model.bcs_hubbard_model(model.ModelParams(mu=0.4)).mean_field_terms == ()
+def _linearised_site_operator(short_range, atoms, rho):
+    """Each order-k atom linearised at rho: w sum_m Psi^(m) prod_{j != m} rho(Psi^(j))."""
+    d = model.density_matrix(rho)
+    op = np.array(short_range, dtype=complex)
+    for weight, factors in atoms:
+        expectations = [complex(np.trace(d @ f)) for f in factors]
+        for m, factor in enumerate(factors):
+            others = [e for j, e in enumerate(expectations) if j != m]
+            op = op + weight * math.prod(others) * factor
+    return op
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_generic_local_hamiltonian_matches_direct(n, rng):
     params = model.ModelParams.random(rng)
-    via_model = model.model_local_hamiltonian(model.bcs_hubbard_model(params), n)
+    generic = _mean_field_hamiltonian(n, *_bcs_hubbard_atoms(params))
     direct = model.hamiltonian_sparse(n, params)
-    assert np.abs((via_model - direct).toarray()).max() < 1e-12
-
-
-def test_approximating_interaction_reductions(rng):
-    params = model.ModelParams(mu=0.2, h=0.1, lam=0.3, gamma=0.0)
-    m = model.bcs_hubbard_model(params)
-    rho = OnSiteState.random_even(rng)
-    phi = model.approximating_interaction(m, rho)
-    assert np.allclose(phi.site_operator, model.onsite_h(params), atol=1e-15)
-
-    params = model.ModelParams(mu=0.2, h=0.1, lam=0.3, gamma=1.2)
-    m = model.bcs_hubbard_model(params)
-    mixed = OnSiteState.maximally_mixed()
-    phi = model.approximating_interaction(m, mixed)
-    assert np.allclose(phi.site_operator, model.onsite_h(params), atol=1e-15)
+    assert np.abs(generic - direct.toarray()).max() < 1e-12
 
 
 def test_approximating_interaction_matches_effective_hamiltonian(rng):
     params = model.ModelParams.random(rng)
-    m = model.bcs_hubbard_model(params)
-    for _ in range(5):
-        rho = OnSiteState.random_even(rng)
-        phi = model.approximating_interaction(m, rho)
-        assert np.allclose(
-            phi.site_operator,
-            model.effective_hamiltonian(params, rho),
-            atol=1e-13,
-        )
+    cases = [(params, OnSiteState.random_even(rng)) for _ in range(5)]
+    # reductions to h0: no coupling, or a state without a Cooper field
+    reductions = [
+        (model.ModelParams(mu=0.2, h=0.1, lam=0.3, gamma=0.0), OnSiteState.random_even(rng)),
+        (model.ModelParams(mu=0.2, h=0.1, lam=0.3, gamma=1.2), OnSiteState.maximally_mixed()),
+    ]
+    for params, rho in cases + reductions:
+        linearised = _linearised_site_operator(*_bcs_hubbard_atoms(params), rho)
+        assert np.allclose(linearised, model.effective_hamiltonian(params, rho), atol=1e-13)
+    for params, rho in reductions:
+        linearised = _linearised_site_operator(*_bcs_hubbard_atoms(params), rho)
+        assert np.allclose(linearised, model.onsite_h(params), atol=1e-15)
 
 
 def test_decoupled_single_site_at_self_consistent_field(rng):
@@ -262,53 +253,49 @@ def test_model_params_reject_non_finite(field, value):
 
 
 def test_lattice_constant_d1():
-    c = model.lattice_constant(model.NormParams())
-    assert c.error_bound < 1e-8
-    assert abs(float(c) - C_1D_EPS1) <= c.error_bound
-
-
-def test_lattice_constant_limits_and_monotonicity():
-    # for large eps only the origin survives
-    c_big = model.lattice_constant(model.NormParams(epsilon=40.0))
-    assert abs(float(c_big) - 1.0) < 1e-10
-    values = [
-        float(model.lattice_constant(model.NormParams(epsilon=e)))
-        for e in (0.5, 1.0, 2.0, 4.0)
-    ]
-    assert all(a > b for a, b in zip(values, values[1:]))
-
-
-def test_lattice_constant_d2_loose_tolerance():
-    c = model.lattice_constant(model.NormParams(epsilon=1.0, dimension=2), tol=1e-5)
-    assert c.error_bound < 1e-5
-    # brute-force disc sum as an independent lower bound
-    r = 200
-    i, j = np.mgrid[-r : r + 1, -r : r + 1]
-    brute = np.sum((1.0 + np.hypot(i, j)) ** -3.0)
-    assert brute < float(c) < brute + 0.05
-
-
-def test_lattice_constant_refuses_unreachable_tolerance():
-    with pytest.raises(ValueError):
-        model.lattice_constant(model.NormParams(epsilon=0.5, dimension=3), tol=1e-10)
+    # sum_{x in Z} (1+|x|)**-2 = 1 + 2 sum_{k>=2} k**-2; the tail past K lies in
+    # (2/(K+1), 2/K) by comparison with the integral of k**-2
+    k_max = 10**6
+    partial = 1.0 + 2.0 * float(np.sum(np.arange(2.0, k_max + 1.0) ** -2))
+    slack = 1e-13  # rounding of the partial sum
+    assert partial + 2.0 / (k_max + 1) - slack <= model.LATTICE_CONSTANT
+    assert model.LATTICE_CONSTANT <= partial + 2.0 / k_max + slack
 
 
 def test_model_norm_value():
+    # ||h0|| = 1 here: the onsite_h diagonal is (0, -1, -1, -1)
     params = model.ModelParams(mu=1.0, lam=0.5, gamma=2.0)
-    np_ = model.NormParams()
-    c = float(model.lattice_constant(np_))
-    expected = 1.0 + 4.0 * c * 2.0  # ||h0|| + n^2 C^(n-1) gamma
-    assert abs(model.model_norm(model.bcs_hubbard_model(params), np_) - expected) < 1e-7
+    c = math.pi**2 / 3.0 - 1.0
+    for n in (1, 2, 3):
+        assert model.energy_bound_check(n, params).rhs == c * n * (1.0 + 4.0 * c * 2.0)
+    # ||h0|| is the largest |.| on the diagonal, here 2 lam - 2 mu = 3
+    params = model.ModelParams(mu=-1.0, h=0.5, lam=0.5, gamma=0.0)
+    assert model.energy_bound_check(2, params).rhs == c * 2 * 3.0
 
 
 def test_energy_bound_trivial_and_seeded(rng):
-    np_ = model.NormParams()
-    res = model.energy_bound_check(2, model.ModelParams(), np_)
+    res = model.energy_bound_check(2, model.ModelParams())
     assert res.lhs == 0.0 and res.passed
-    res = model.energy_bound_check(2, model.ModelParams(mu=1.0, gamma=1.0), np_)
+    res = model.energy_bound_check(2, model.ModelParams(mu=1.0, gamma=1.0))
     assert res.passed
     for _ in range(3):
-        assert model.energy_bound_check(3, model.ModelParams.random(rng), np_).passed
+        assert model.energy_bound_check(3, model.ModelParams.random(rng)).passed
+
+
+def test_energy_bound_loads_no_integrator():
+    code = (
+        "import sys\n"
+        "from mfbcs import model\n"
+        "assert model.energy_bound_check(3, model.ModelParams(gamma=1.0)).passed\n"
+        "print('scipy.integrate' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env,
+        timeout=120, check=True,
+    )
+    assert proc.stdout.splitlines() == ["False"]
 
 
 def test_dense_capacity_error():
@@ -361,9 +348,23 @@ def test_sectors_partition_the_basis_and_block_the_hamiltonian(n, rng):
 
 
 def test_energy_bound_lhs_is_largest_full_eigenvalue(rng):
-    np_ = model.NormParams()
     for n in (1, 2, 3, 4):
         params = model.ModelParams.random(rng, gamma_max=3.0)
         full = np.linalg.eigvalsh(model.hamiltonian(n, params))
-        lhs = model.energy_bound_check(n, params, np_).lhs
+        lhs = model.energy_bound_check(n, params).lhs
         assert abs(lhs - np.max(np.abs(full))) <= 1e-12 * max(1.0, lhs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_spectrum_particle_hole_symmetry(n, rng):
+    # c_s -> c_s+ maps H_N(mu, h, lam, gamma) to
+    # H_N(2 lam - mu - gamma/N, -h, lam, gamma) + N (2 lam - 2 mu) - gamma
+    for _ in range(3):
+        p = model.ModelParams.random(rng, gamma_max=3.0)
+        image = model.ModelParams(
+            mu=2.0 * p.lam - p.mu - p.gamma / n, h=-p.h, lam=p.lam, gamma=p.gamma
+        )
+        energies = model.spectrum(n, p)
+        mapped = model.spectrum(n, image) + n * (2.0 * p.lam - 2.0 * p.mu) - p.gamma
+        scale = max(1.0, np.max(np.abs(energies)))
+        assert np.max(np.abs(energies - mapped)) <= 1e-12 * scale
