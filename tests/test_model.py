@@ -164,20 +164,24 @@ def test_generic_local_hamiltonian_matches_direct(n, rng):
     assert np.abs(generic - direct.toarray()).max() < 1e-12
 
 
-def test_approximating_interaction_matches_effective_hamiltonian(rng):
-    params = model.ModelParams.random(rng)
-    cases = [(params, OnSiteState.random_even(rng)) for _ in range(5)]
+def test_approximating_interaction_reductions(rng):
     # reductions to h0: no coupling, or a state without a Cooper field
-    reductions = [
+    cases = [
         (model.ModelParams(mu=0.2, h=0.1, lam=0.3, gamma=0.0), OnSiteState.random_even(rng)),
         (model.ModelParams(mu=0.2, h=0.1, lam=0.3, gamma=1.2), OnSiteState.maximally_mixed()),
     ]
-    for params, rho in cases + reductions:
-        linearised = _linearised_site_operator(*_bcs_hubbard_atoms(params), rho)
-        assert np.allclose(linearised, model.effective_hamiltonian(params, rho), atol=1e-13)
-    for params, rho in reductions:
+    for params, rho in cases:
         linearised = _linearised_site_operator(*_bcs_hubbard_atoms(params), rho)
         assert np.allclose(linearised, model.onsite_h(params), atol=1e-15)
+        assert np.allclose(linearised, model.effective_hamiltonian(params, rho), atol=1e-13)
+
+
+def test_approximating_interaction_matches_effective_hamiltonian(rng):
+    params = model.ModelParams.random(rng)
+    for _ in range(5):
+        rho = OnSiteState.random_even(rng)
+        linearised = _linearised_site_operator(*_bcs_hubbard_atoms(params), rho)
+        assert np.allclose(linearised, model.effective_hamiltonian(params, rho), atol=1e-13)
 
 
 def test_decoupled_single_site_at_self_consistent_field(rng):
