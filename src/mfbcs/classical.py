@@ -28,7 +28,6 @@ realize the two legs of that commuting diagram.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Sequence, Tuple, Union
@@ -38,7 +37,7 @@ import numpy as np
 from . import dynamics, fock, model
 from .flow import ClosedFormFlow
 from .model import StateLike
-from .states import OnSiteState
+from .states import OnSiteState, _where
 
 #: Self-adjoint quadratures of the pair field: expectations 2 Re z and 2 Im z.
 PAIR_X: np.ndarray = fock.PAIR + fock.PAIR_DAG
@@ -173,20 +172,39 @@ class PolynomialFunction:
     def __post_init__(self) -> None:
         ops = _check_operators(self.operators)
         n = len(ops)
-        canon = tuple((complex(c), tuple(sorted(map(int, idx)))) for c, idx in self.monomials)
+        canon = [(complex(c), tuple(map(int, idx))) for c, idx in self.monomials]
         for _, idx in canon:
-            if idx and (idx[0] < 0 or idx[-1] >= n):
-                raise ValueError(f"monomial index out of range: {idx}")
-        n_mono = len(canon)
+            if idx and (min(idx) < 0 or max(idx) >= n):
+                raise ValueError(f"monomial index out of range: {tuple(sorted(idx))}")
         degree = max((len(idx) for _, idx in canon), default=0)
         factors = np.array(
             [idx + (n,) * (degree - len(idx)) for _, idx in canon], dtype=int
-        ).reshape(n_mono, degree)
+        ).reshape(len(canon), degree)
+        self._set_tables(ops, factors, np.array([c for c, _ in canon], dtype=complex))
+
+    @classmethod
+    def _from_tables(
+        cls, operators: np.ndarray, factors: np.ndarray, coeffs: np.ndarray
+    ) -> "PolynomialFunction":
+        """The polynomial over an already checked operator stack with the given
+        (M, D) factor table, padded with n, and coefficients (M,)."""
+        poly = object.__new__(cls)
+        poly._set_tables(operators, factors, coeffs)
+        return poly
+
+    def _set_tables(self, ops: np.ndarray, factors: np.ndarray, coeffs: np.ndarray) -> None:
+        """Canonical monomials (sorted indices, padding last) and the derived tables."""
+        n = len(ops)
+        factors = np.sort(factors, axis=1)
+        n_mono, degree = factors.shape
+        lengths = (factors < n).sum(axis=1).tolist()
+        canon = tuple(
+            (c, tuple(row[:k])) for c, row, k in zip(coeffs.tolist(), factors.tolist(), lengths)
+        )
         leave_out = [[q for q in range(degree) if q != p] for p in range(degree)]
-        coeffs = np.array([c for c, _ in canon], dtype=complex)
+        others = factors[:, np.array(leave_out, dtype=int).reshape(degree, max(degree - 1, 0))]
         slots = np.zeros((n_mono, degree, n + 1), dtype=complex)
         slots[np.arange(n_mono)[:, None], np.arange(degree), factors] = coeffs[:, None]
-        others = factors[:, np.array(leave_out, dtype=int).reshape(degree, max(degree - 1, 0))]
         for name, value in (
             ("operators", ops),
             ("monomials", canon),
@@ -223,24 +241,33 @@ class PolynomialFunction:
         return _scalar_or_array(self.g(self.arguments(rho)))
 
     def _require_same_ops(self, other: "PolynomialFunction") -> None:
-        if not np.array_equal(self.operators, other.operators):
+        if self.operators is not other.operators and not np.array_equal(
+            self.operators, other.operators
+        ):
             raise ValueError("polynomial algebra requires a shared operator tuple")
 
     def __add__(self, other: "PolynomialFunction") -> "PolynomialFunction":
         self._require_same_ops(other)
-        return PolynomialFunction(self.operators, self.monomials + other.monomials)
+        (m_self, d_self), (m_other, d_other) = self._factors.shape, other._factors.shape
+        factors = np.full((m_self + m_other, max(d_self, d_other)), self.n_args)
+        factors[:m_self, :d_self], factors[m_self:, :d_other] = self._factors, other._factors
+        coeffs = np.concatenate([self._coeffs, other._coeffs])
+        return PolynomialFunction._from_tables(self.operators, factors, coeffs)
 
     def __mul__(self, other: Union["PolynomialFunction", complex]) -> "PolynomialFunction":
-        if isinstance(other, PolynomialFunction):
-            self._require_same_ops(other)
-            mono = tuple(
-                (c1 * c2, i1 + i2)
-                for (c1, i1), (c2, i2) in itertools.product(self.monomials, other.monomials)
+        if not isinstance(other, PolynomialFunction):
+            return PolynomialFunction._from_tables(
+                self.operators, self._factors, complex(other) * self._coeffs
             )
-            return PolynomialFunction(self.operators, mono)
-        scale = complex(other)
-        return PolynomialFunction(
-            self.operators, tuple((scale * c, i) for c, i in self.monomials)
+        self._require_same_ops(other)
+        # every pair of monomials, self's index running slowest
+        m_self, m_other = len(self._coeffs), len(other._coeffs)
+        factors = np.concatenate(
+            [np.repeat(self._factors, m_other, axis=0), np.tile(other._factors, (m_self, 1))],
+            axis=1,
+        )
+        return PolynomialFunction._from_tables(
+            self.operators, factors, np.outer(self._coeffs, other._coeffs).ravel()
         )
 
     __rmul__ = __mul__
@@ -271,6 +298,45 @@ def poisson_bracket(
     df = convex_derivative(f, d)
     dg = convex_derivative(g, d)
     return _scalar_or_array(np.einsum("...ij,...ji->...", d, 1j * (df @ dg - dg @ df)))
+
+
+def bracket_polynomial(f: PolynomialFunction, g: PolynomialFunction) -> PolynomialFunction:
+    """{f, g} as a polynomial over the operators of f, of g and their brackets.
+
+    For polynomials the bracket is again a polynomial: expanding
+    rho(i[Df, Dg]) by the product rule gives, for each factor A_j of a
+    monomial of f and each factor B_k of a monomial of g, the product of
+    the remaining factors and the expectation of i[A_j, B_k] (the centered
+    identity parts drop out of the commutator).  The new operator list is
+    f's, then g's, then i[A_j, B_k] at index n_f + n_g + j n_g + k; the
+    tables are built from those of f and g, whose operators are already
+    checked.
+    """
+    n_f, n_g = f.n_args, g.n_args
+    comms = 1j * model.hermitian_commutator(f.operators[:, None], g.operators[None, :])
+    ops = np.concatenate([f.operators, g.operators, comms.reshape(-1, 4, 4)])
+    ops.setflags(write=False)
+    n = len(ops)
+    # the factors (monomial, position) of f and of g, then every pair of them
+    mono_f, pos_f = np.nonzero(f._factors < n_f)
+    mono_g, pos_g = np.nonzero(g._factors < n_g)
+    if not (len(mono_f) and len(mono_g)):  # constants on one side: the zero polynomial
+        zero = np.zeros((1, 0), dtype=int), np.zeros(1, dtype=complex)
+        return PolynomialFunction._from_tables(ops, *zero)
+    i = np.repeat(np.arange(len(mono_f)), len(mono_g))
+    j = np.tile(np.arange(len(mono_g)), len(mono_f))
+    rest_f, rest_g = f._others[mono_f, pos_f], g._others[mono_g, pos_g]
+    comm = n_f + n_g + f._factors[mono_f, pos_f] * n_g
+    factors = np.concatenate(
+        [
+            np.where(rest_f == n_f, n, rest_f)[i],
+            np.where(rest_g == n_g, n, rest_g + n_f)[j],
+            (comm[i] + g._factors[mono_g, pos_g][j])[:, None],
+        ],
+        axis=1,
+    )
+    coeffs = f._coeffs[mono_f][i] * g._coeffs[mono_g][j]
+    return PolynomialFunction._from_tables(ops, factors, coeffs)
 
 
 def classical_hamiltonian(params: model.ModelParams) -> PolynomialFunction:
@@ -440,17 +506,22 @@ def liouville_residuals(
 
 @dataclass(frozen=True)
 class RotorState:
-    """Rotor coordinates (Re z, Im z, shifted density)."""
+    """Rotor coordinates (Re z, Im z, shifted density).
 
-    omega1: float
-    omega2: float
-    omega3: float
+    Floats for one state; arrays of one shape for a stack of states or a
+    time grid.
+    """
+
+    omega1: Union[float, np.ndarray]
+    omega2: Union[float, np.ndarray]
+    omega3: Union[float, np.ndarray]
 
     def as_array(self) -> np.ndarray:
-        return np.array([self.omega1, self.omega2, self.omega3])
+        """The coordinates on a last axis of length 3."""
+        return np.stack(np.broadcast_arrays(self.omega1, self.omega2, self.omega3), axis=-1)
 
     @property
-    def planar_norm2(self) -> float:
+    def planar_norm2(self) -> Union[float, np.ndarray]:
         return self.omega1**2 + self.omega2**2
 
 
@@ -458,33 +529,42 @@ _ROTOR_SLACK = 1e-8
 
 
 def rotor_map(params: model.ModelParams, rho: StateLike) -> RotorState:
-    """Project a state to rotor coordinates.
+    """Project a state, or a stack (..., 4, 4) of them, to rotor coordinates.
 
     omega1 + i omega2 is the Cooper field rho(a_dn a_up) and omega3 is the
     precession frequency 2(mu - lam) + gamma (1 - d); the image lives in the
     solid cylinder |omega_12| <= 1 with omega3 within gamma of 2(mu - lam).
+    Both ranges are checked on the whole stack; the message names the index
+    of the first state outside them.
     """
     d = model.density_matrix(rho)
-    z = complex(np.trace(d @ fock.PAIR))
-    dens = float(np.trace(d @ (fock.N_UP + fock.N_DN)).real)
-    omega3 = model.precession(params, dens)
-    state = RotorState(omega1=z.real, omega2=z.imag, omega3=omega3)
-    if state.planar_norm2 > 1.0 + _ROTOR_SLACK:
-        raise ValueError(f"rotor coordinates leave the unit disc: {state}")
-    center = model.precession(params, 1.0)
-    if abs(omega3 - center) > params.gamma + _ROTOR_SLACK:
-        raise ValueError(f"omega3 = {omega3} outside the admissible band")
+    z = np.trace(d @ fock.PAIR, axis1=-2, axis2=-1)
+    dens = np.trace(d @ (fock.N_UP + fock.N_DN), axis1=-2, axis2=-1).real
+    state = RotorState(z.real[()], z.imag[()], model.precession(params, dens)[()])
+    norm2 = np.asarray(state.planar_norm2)
+    # "<=" so that a NaN state fails too
+    bad = ~(norm2 <= 1.0 + _ROTOR_SLACK)
+    if bad.any():
+        raise ValueError(
+            f"{_where(bad)}rotor coordinates leave the unit disc: |omega_12|**2 = "
+            f"{norm2[bad].flat[0]}"
+        )
+    omega3 = np.asarray(state.omega3)
+    bad = ~(abs(omega3 - model.precession(params, 1.0)) <= params.gamma + _ROTOR_SLACK)
+    if bad.any():
+        raise ValueError(f"{_where(bad)}omega3 = {omega3[bad].flat[0]} outside the admissible band")
     return state
 
 
-def rotor_flow(omega0: RotorState, times: Sequence[float]) -> Tuple[RotorState, ...]:
+def rotor_flow(omega0: RotorState, times: Union[float, np.ndarray]) -> RotorState:
     """Rigid precession of the rotor at frequency omega3, in closed form.
 
     The rotor equations d omega1/dt = -omega3 omega2, d omega2/dt =
     omega3 omega1, d omega3/dt = 0 give
-    omega1 + i omega2 = (omega1_0 + i omega2_0) e^{i omega3 t}.
+    omega1 + i omega2 = (omega1_0 + i omega2_0) e^{i omega3 t}.  The
+    coordinates come back as arrays of shape ``np.shape(times)``.
     """
     planar = complex(omega0.omega1, omega0.omega2) * np.exp(
         1j * omega0.omega3 * np.asarray(times, dtype=float)
     )
-    return tuple(RotorState(p.real, p.imag, omega0.omega3) for p in planar)
+    return RotorState(planar.real, planar.imag, np.full(planar.shape, float(omega0.omega3)))

@@ -137,22 +137,21 @@ class GlobalState:
         elif self.kind == "mixed":
             if arr.shape != (dim, dim):
                 raise ValueError(f"density matrix must have shape ({dim},{dim})")
+            # checked first: comparisons with NaN are false, and the
+            # factorization below can pass NaN entries
+            if not np.isfinite(arr).all():
+                raise ValueError("density matrix has non-finite entries")
             if np.max(np.abs(arr - arr.conj().T)) > STATE_TOL:
                 raise ValueError("density matrix is not Hermitian")
             if abs(np.trace(arr).real - 1.0) > STATE_TOL:
                 raise ValueError("density matrix trace is not 1")
             # D + tol*1 has a Cholesky factor iff the least eigenvalue of D
-            # exceeds -tol.  It is factorized in place, transposed: the
-            # Fortran-ordered view is conj(D + tol*1), with the same spectrum.
-            # check_finite stays on: the factorization can pass NaN entries.
+            # exceeds -tol
             shifted = arr.copy()
             shifted[np.diag_indices(dim)] += STATE_TOL
-            # imported here, not at module level: scipy.linalg takes ~0.2 s to load
-            import scipy.linalg as la
-
             try:
-                la.cholesky(shifted.T, overwrite_a=True)
-            except la.LinAlgError:
+                np.linalg.cholesky(shifted)
+            except np.linalg.LinAlgError:
                 raise ValueError("density matrix is not positive") from None
         else:
             raise ValueError(f"unknown state kind {self.kind!r}")
@@ -391,11 +390,8 @@ def pressure_fv(
     n_sites: int, params: model.ModelParams, spec: GibbsSpec
 ) -> float:
     """Finite-volume pressure (beta N)^{-1} ln Trace e^{-beta H}, from the sector spectrum."""
-    # imported here, not at module level: scipy.special takes ~0.2 s to load
-    from scipy.special import logsumexp
-
     w = model.spectrum(n_sites, params)
-    return float(logsumexp(-spec.beta * w) / (spec.beta * n_sites))
+    return float(np.logaddexp.reduce(-spec.beta * w) / (spec.beta * n_sites))
 
 
 def condensate_density_fv(

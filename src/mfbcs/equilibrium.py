@@ -7,25 +7,81 @@ order parameter c of
 
 where p1 is the one-site pressure of the pair-field-decoupled Hamiltonian.
 f depends on c only through r = |c| (gauge invariance), and any maximizer
-modulus r* is the square root of the Cooper-pair condensate density.  At a
-maximizer the one-site Gibbs state reproduces the order parameter
-(self-consistency), which pins r* to machine precision via root finding on
-the stationarity residual after a coarse bracketing scan; the scan guards
-against the competing local maxima of the first-order transition.
+modulus r* is the square root of the Cooper-pair condensate density.
+
+On the pair sector {|0>, |up dn>} the decoupled operator is
+[[0, -gamma cbar], [-gamma c, 2 eps]] with eps = lam - mu, so with
+E_r = hypot(eps, gamma r)
+
+    p1(r) = beta^{-1} ln[e^{beta(mu+h)} + e^{beta(mu-h)} + 2 e^{-beta eps} cosh(beta E_r)],
+    omega_r(a_dn a_up) - r = r [gamma e^{-beta eps} sinh(beta E_r) / (E_r Z_r) - 1],
+
+Z_r the bracket in p1: the strong-coupling BCS gap equation (Bru and de
+Siqueira Pedra, Rev. Math. Phys. 22, 233 (2010)).  Both are evaluated in
+log form and broadcast over arrays of r.  A maximizer satisfies the gap
+equation (self-consistency); :func:`gap_solve` brackets the global maximum
+on a grid, which guards against the competing local maxima of the
+first-order transition, and bisects the stationarity residual inside the
+bracket to the spacing of doubles.  No scipy is loaded.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Union
+from typing import List, NamedTuple, Optional, Union
 
 import numpy as np
 
 from . import dynamics, fock, model
 from .errors import NumericalAbortError
-from .flow import observables
 from .states import OnSiteState, ProductMixture
+
+
+class _PairSector(NamedTuple):
+    """Closed-form one-site thermodynamics at order-parameter moduli r.
+
+    The levels are -mu -+ h (singly occupied) and eps -+ E_r (pair sector),
+    giving Z_r of the module docstring.  Every exponential is taken of a
+    non-positive argument, with ln(2 cosh x) = x + log1p(e^{-2x}), so
+    overflowing couplings give inf or nan, never an exception.
+    """
+
+    gamma_beta: float
+    beta_eps: float
+    x: np.ndarray  # beta E_r
+    log_single: float  # ln(e^{beta(mu+h)} + e^{beta(mu-h)})
+    log_pair: np.ndarray  # ln(2 e^{-beta eps} cosh(beta E_r))
+    log_z: np.ndarray  # ln Z_r
+
+    @classmethod
+    def at(cls, params: model.ModelParams, beta: float, r: np.ndarray) -> "_PairSector":
+        beta_eps = beta * (params.lam - params.mu)
+        x = np.hypot(beta_eps, beta * params.gamma * np.asarray(r, dtype=float))
+        log_single = np.logaddexp(beta * (params.mu + params.h), beta * (params.mu - params.h))
+        log_pair = x - beta_eps + np.log1p(np.exp(-2.0 * x))
+        log_z = np.logaddexp(log_single, log_pair)
+        return cls(params.gamma * beta, beta_eps, x, log_single, log_pair, log_z)
+
+    @property
+    def gap(self) -> np.ndarray:
+        """gamma e^{-beta eps} sinh(beta E_r) / (E_r Z_r): omega_r(a_dn a_up) / r.
+
+        sinh(x) / E_r = beta e^x q(x) with q(x) = -expm1(-2x) / (2x), q(0) = 1.
+        """
+        x = self.x
+        q = np.divide(-np.expm1(-2.0 * x), 2.0 * x, out=np.ones_like(x), where=x > 0.0)
+        return self.gamma_beta * q * np.exp(x - self.beta_eps - self.log_z)
+
+    @property
+    def density(self) -> np.ndarray:
+        """omega_r(n_up + n_dn) = P_single + P_pair (1 - (eps / E_r) tanh(beta E_r))."""
+        x = self.x
+        # eps = 0 wherever E_r = 0
+        ratio = np.divide(self.beta_eps, x, out=np.zeros_like(x), where=x > 0.0)
+        return np.exp(self.log_single - self.log_z) + np.exp(self.log_pair - self.log_z) * (
+            1.0 - ratio * np.tanh(x)
+        )
 
 
 def pressure_onsite(
@@ -33,39 +89,34 @@ def pressure_onsite(
 ) -> Union[float, np.ndarray]:
     """Limit pressure of the decoupled Hamiltonian: one-site free energy.
 
+    p1(c) = beta^{-1} ln Z_|c| in closed form (:class:`_PairSector`).
     Because the decoupled Hamiltonian is a sum of shifts of one operator,
     this equals the finite-volume pressure at every site count; it depends
     on c only through |c|.  A scalar c gives a float, an array of c an
     array of the same shape.
     """
-    # imported here, not at module level: scipy.special takes ~0.2 s to load
-    from scipy.special import logsumexp
-
     if beta <= 0:
         raise ValueError("beta must be > 0")
-    w = np.linalg.eigvalsh(model.decoupled_hamiltonian(params, c))
-    p = logsumexp(-beta * w, axis=-1) / beta
+    p = _PairSector.at(params, beta, np.abs(c)).log_z / beta
     return float(p) if np.ndim(c) == 0 else p
 
 
-def _pair_expectation_at(params: model.ModelParams, beta: float, r: float) -> float:
-    state = approx_gibbs_onsite(params, beta, r)
-    return float(state.pair_expectation().real)
+#: Bisection steps of the gap-equation refinement: they shrink the bracket of
+#: two grid cells (5e-4 wide on the default grid) by 2**-60, to 4e-22, below
+#: the spacing of doubles wherever r* > 2e-6.
+BISECTION_STEPS = 60
 
 
 @dataclass(frozen=True)
 class GapSolverConfig:
-    """Coarse-grid resolution and refinement settings for the gap search."""
+    """Coarse-grid resolution and phase threshold of the gap search."""
 
     grid_points: int = 4097
-    refine_tol: float = 1e-13
     superconducting_threshold: float = 1e-3
 
     def __post_init__(self) -> None:
         if self.grid_points < 3:
             raise ValueError("grid_points must be >= 3")
-        if self.refine_tol <= 0:
-            raise ValueError("refine_tol must be > 0")
 
 
 @dataclass(frozen=True)
@@ -93,15 +144,22 @@ def gap_solve(
     A dense grid scan brackets the global maximum (including both
     endpoints), then the stationarity condition
 
-        omega_r(a_dn a_up) = r
+        omega_r(a_dn a_up) - r = r [gamma e^{-beta eps} sinh(beta E_r) / (E_r Z_r) - 1] = 0
 
-    is solved exactly inside the bracket.  Degenerate flat maxima (gamma=0)
-    tie-break to the smallest maximizer, keeping phase-boundary scans
-    deterministic.
+    is solved inside the bracket by BISECTION_STEPS bisection steps.
+    Degenerate flat maxima (gamma=0) tie-break to the smallest maximizer,
+    keeping phase-boundary scans deterministic.
     """
     if beta <= 0:
         raise ValueError("beta must be > 0")
     cfg = cfg or GapSolverConfig()
+    # the levels of the decoupled operator, -mu -+ h and eps -+ E_r for r <= 1
+    eps = params.lam - params.mu
+    top = max(abs(params.mu) + abs(params.h), abs(eps) + math.hypot(eps, params.gamma))
+    if not math.isfinite(top):
+        raise NumericalAbortError(
+            "the one-site levels overflow: |mu| + |h| or |eps| + hypot(eps, gamma) is inf"
+        )
     rs = np.linspace(0.0, 1.0, cfg.grid_points)
     f = -params.gamma * rs**2 + pressure_onsite(params, beta, rs)
     fmax = float(f.max())
@@ -115,30 +173,29 @@ def gap_solve(
     idx = int(candidates.min())  # smallest maximizer on ties
     r_star = float(rs[idx])
 
+    def residual(r: float) -> float:
+        return r * (float(_PairSector.at(params, beta, r).gap) - 1.0)
+
     if params.gamma > 0.0 and 0 < idx < len(rs) - 1:
         # strict interior maximum: refine on the stationarity residual
-        def residual(r: float) -> float:
-            return _pair_expectation_at(params, beta, r) - r
-
-        lo, hi = rs[idx - 1], rs[idx + 1]
+        lo, hi = float(rs[idx - 1]), float(rs[idx + 1])
         if residual(lo) > 0.0 > residual(hi):
-            # imported here, not at module level: scipy.optimize takes ~0.2 s to load
-            from scipy.optimize import brentq
-
-            r_star = float(brentq(residual, lo, hi, xtol=cfg.refine_tol))
-    value = float(
-        -params.gamma * r_star**2 + pressure_onsite(params, beta, r_star)
-    )
+            for _ in range(BISECTION_STEPS):
+                mid = 0.5 * (lo + hi)
+                if residual(mid) > 0.0:
+                    lo = mid
+                else:
+                    hi = mid
+            r_star = 0.5 * (lo + hi)
+    at_star = _PairSector.at(params, beta, r_star)
     spacing = 1.0 / (cfg.grid_points - 1)
     threshold = cfg.superconducting_threshold
-    state = approx_gibbs_onsite(params, beta, r_star)
-    rec = observables(params, state)
     return GapSolution(
         r_star=r_star,
-        pressure_value=value,
+        pressure_value=float(-params.gamma * r_star**2 + at_star.log_z / beta),
         superconducting=bool(r_star > threshold),
         indeterminate=bool(abs(r_star - threshold) < spacing),
-        density_at_solution=rec.d,
+        density_at_solution=float(at_star.density),
     )
 
 

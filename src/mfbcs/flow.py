@@ -176,9 +176,9 @@ def flow_ode(
 
     def rhs(_t: float, y: np.ndarray) -> np.ndarray:
         dmat = y.view(complex).reshape(-1, 4, 4)
-        c = np.trace(dmat @ fock.PAIR, axis1=-2, axis2=-1)[:, None, None]
+        c = np.einsum("kij,ji->k", dmat, fock.PAIR)[:, None, None]
         dh = h0 - gamma * (c * fock.PAIR_DAG + np.conj(c) * fock.PAIR)
-        return (-1j * (dh @ dmat - dmat @ dh)).ravel().view(float)
+        return (-1j * model.hermitian_commutator(dh, dmat)).ravel().view(float)
 
     times = np.asarray(times, dtype=float)
     y0 = seeds.ravel().view(float).copy()
@@ -458,14 +458,20 @@ def dyson_phillips(
             "shorten t or raise the order"
         )
 
+    # the series is linear in a_op = A + iB and runs on the Hermitian parts
+    # A and B, stacked on axis 1: i[dh, .] keeps every term Hermitian
+    parts = np.array([a_op + a_op.conj().T, 1j * (a_op.conj().T - a_op)]) / 2
+    parts = parts[: 1 + bool(parts[1].any())]
+
     def series(gens: np.ndarray, step: float) -> np.ndarray:
-        total = a_op
-        r = np.broadcast_to(a_op, gens.shape)
+        total = parts
+        r = np.broadcast_to(parts, gens.shape[:1] + parts.shape)
+        gens = gens[:, None]
         for _ in range(order):
-            cum = _cumulative_simpson(1j * (gens @ r - r @ gens), step)
+            cum = _cumulative_simpson(1j * model.hermitian_commutator(gens, r), step)
             r = cum[-1] - cum
             total = total + r[0]
-        return total
+        return total[0] if len(total) == 1 else total[0] + 1j * total[1]
 
     step = t / (2 * n_nodes)
     fine = series(dh, step)

@@ -20,8 +20,9 @@ diagonal plus -gamma times the cached hopping block.
 The one-site algebra that the mean-field flow and the equilibrium theory
 share is defined here once: the decoupled operator h0 - gamma (c P+ + cbar P)
 (:func:`decoupled_hamiltonian`), the flow generator at the state's own
-Cooper field (:func:`effective_hamiltonian`) and the rotation frequency nu
-of that field (:func:`precession`).
+Cooper field (:func:`effective_hamiltonian`), the rotation frequency nu
+of that field (:func:`precession`) and the commutator of two Hermitian
+operators (:func:`hermitian_commutator`).
 
 The extensivity bound ||H_N|| <= C N ||m|| (:func:`energy_bound_check`)
 is evaluated in closed form for this chain: C = pi**2/3 - 1 and
@@ -197,6 +198,16 @@ def effective_hamiltonian(params: ModelParams, rho: StateLike) -> np.ndarray:
     """
     d = density_matrix(rho)
     return decoupled_hamiltonian(params, np.trace(d @ fock.PAIR, axis1=-2, axis2=-1))
+
+
+def hermitian_commutator(h: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """[h, d] of Hermitian h and d, or of stacks of them, as X - X^dagger with X = h d.
+
+    One matrix product instead of two: (h d)^dagger = d h for Hermitian
+    factors, and X - X^dagger is exactly anti-Hermitian in floating point.
+    """
+    x = h @ d
+    return x - x.swapaxes(-1, -2).conj()
 
 
 def precession(params: ModelParams, d: Union[float, np.ndarray]) -> Union[float, np.ndarray]:

@@ -140,12 +140,9 @@ def check_rotor_diagram(seed: int = 0) -> CheckResult:
     def body():
         worst = 0.0
         for params, rho0, traj in _prop1_suite(seed):
-            start = classical.rotor_map(params, rho0)
-            rotor = classical.rotor_flow(start, traj.times)
-            for k, t in enumerate(traj.times):
-                via_flow = classical.rotor_map(params, traj.matrices[k])
-                dev = np.max(np.abs(via_flow.as_array() - rotor[k].as_array()))
-                worst = max(worst, float(dev))
+            rotor = classical.rotor_flow(classical.rotor_map(params, rho0), traj.times)
+            via_flow = classical.rotor_map(params, traj.matrices)
+            worst = max(worst, float(np.max(np.abs(via_flow.as_array() - rotor.as_array()))))
         return worst < 1e-6, worst, 1e-6, "rotor_map o flow = rotor_flow o rotor_map"
 
     return _timed(body, "rotor-commuting-diagram")
@@ -358,17 +355,10 @@ def check_poisson_algebra(seed: int = 0) -> CheckResult:
         for _ in range(100):
             rho = OnSiteState.random_even(rng)
             f, g, h = (_random_polynomial(rng, ops) for _ in range(3))
-            worst_anti = max(
-                worst_anti,
-                abs(
-                    classical.poisson_bracket(f, g, rho)
-                    + classical.poisson_bracket(g, f, rho)
-                ),
-            )
+            fg = classical.poisson_bracket(f, g, rho)
+            worst_anti = max(worst_anti, abs(fg + classical.poisson_bracket(g, f, rho)))
             lhs = classical.poisson_bracket(f, g * h, rho)
-            rhs = classical.poisson_bracket(f, g, rho) * h(rho) + g(
-                rho
-            ) * classical.poisson_bracket(f, h, rho)
+            rhs = fg * h(rho) + g(rho) * classical.poisson_bracket(f, h, rho)
             worst_leibniz = max(worst_leibniz, abs(lhs - rhs))
             worst_jacobi = max(worst_jacobi, abs(_jacobi_sum(f, g, h, rho)))
         passed = worst_anti == 0.0 and worst_leibniz < 1e-10 and worst_jacobi < 1e-9
@@ -391,43 +381,15 @@ def _jacobi_sum(
 
     The inner bracket {g, h} is itself a function on states; its convex
     derivative is formed by exact differentiation of the bracket expression
-    through the product rule on polynomials, here realized by evaluating the
-    bracket as a cylindrical function of the underlying expectations.
+    through the product rule on polynomials: the bracket is a polynomial in
+    the expectations of the operators and of their brackets
+    (:func:`classical.bracket_polynomial`).
     """
     total = 0.0 + 0.0j
     for a, b, c in ((f, g, h), (g, h, f), (h, f, g)):
-        inner = _bracket_as_function(b, c)
+        inner = classical.bracket_polynomial(b, c)
         total += classical.poisson_bracket(a, inner, rho)
     return total
-
-
-def _bracket_as_function(
-    f: classical.PolynomialFunction, g: classical.PolynomialFunction
-) -> classical.PolynomialFunction:
-    """{f, g} as a polynomial over the union operator list.
-
-    For polynomials the bracket is again a polynomial: expanding
-    rho(i[Df, Dg]) in monomials of the expectations rho(A_j) and of the new
-    operators i[A_j, A_k] (the centered identity parts drop out of the
-    commutator).
-    """
-    ops_f, ops_g = f.operators[:, None], g.operators[None, :]
-    n_f, n_g = len(f.operators), len(g.operators)
-    # i[A_j, B_k] goes to index n_f + n_g + j n_g + k
-    comms = 1j * (ops_f @ ops_g - ops_g @ ops_f)
-    ops = np.concatenate([f.operators, g.operators, comms.reshape(-1, 4, 4)])
-    monos: List[Tuple[complex, Tuple[int, ...]]] = []
-    for cf, idx_f in f.monomials:
-        for pos_f in range(len(idx_f)):
-            rest_f = idx_f[:pos_f] + idx_f[pos_f + 1 :]
-            for cg, idx_g in g.monomials:
-                for pos_g in range(len(idx_g)):
-                    rest_g = tuple(n_f + i for i in idx_g[:pos_g] + idx_g[pos_g + 1 :])
-                    comm_i = n_f + n_g + idx_f[pos_f] * n_g + idx_g[pos_g]
-                    monos.append((cf * cg, rest_f + rest_g + (comm_i,)))
-    if not monos:
-        monos.append((0.0 + 0.0j, ()))
-    return classical.PolynomialFunction(ops, tuple(monos))
 
 
 # --- 11. Equilibrium stationarity ---------------------------------------------

@@ -9,6 +9,7 @@ from mfbcs.classical import (
     PolynomialFunction,
     RotorState,
     affine_polynomial,
+    bracket_polynomial,
     classical_hamiltonian,
     condensate_polynomial,
     convex_derivative,
@@ -199,16 +200,16 @@ def test_rotor_map_examples():
 
 def test_rotor_flow_basics():
     static = rotor_flow(RotorState(0.3, -0.2, 0.0), [0.0, 1.0, 5.0])
-    for s in static:
-        assert np.allclose(s.as_array(), [0.3, -0.2, 0.0], atol=1e-12)
+    assert static.as_array().shape == (3, 3)
+    assert np.allclose(static.as_array(), [0.3, -0.2, 0.0], atol=1e-12)
     spun = rotor_flow(RotorState(1.0, 0.0, math.pi), [1.0])
-    assert np.allclose(spun[0].as_array(), [-1.0, 0.0, math.pi], atol=1e-8)
+    assert np.allclose(spun.as_array()[0], [-1.0, 0.0, math.pi], atol=1e-8)
 
 
 def test_rotor_norm_conserved():
     times = np.linspace(0.0, 10.0, 21)
-    states = rotor_flow(RotorState(0.4, 0.3, 2.7), times)
-    norms = np.array([s.planar_norm2 for s in states])
+    norms = rotor_flow(RotorState(0.4, 0.3, 2.7), times).planar_norm2
+    assert norms.shape == times.shape
     assert np.max(np.abs(norms - norms[0])) < 1e-9
 
 
@@ -219,9 +220,47 @@ def test_rotor_commuting_diagram(rng):
         rho0 = OnSiteState.random_even(rng)
         traj = flow_onsite(params, rho0, times)
         rotor = rotor_flow(rotor_map(params, rho0), times)
-        for k in range(len(times)):
-            via_flow = rotor_map(params, traj.matrices[k])
-            assert np.max(np.abs(via_flow.as_array() - rotor[k].as_array())) < 1e-6
+        via_flow = rotor_map(params, traj.matrices)
+        assert np.max(np.abs(via_flow.as_array() - rotor.as_array())) < 1e-6
+
+
+def test_rotor_map_stack_matches_single_states(rng):
+    params = model.ModelParams.random(rng)
+    stack = np.array([OnSiteState.random_even(rng).matrix for _ in range(6)]).reshape(2, 3, 4, 4)
+    batch = rotor_map(params, stack)
+    assert batch.as_array().shape == (2, 3, 3)
+    for idx in np.ndindex(2, 3):
+        single = rotor_map(params, stack[idx])
+        assert isinstance(single.omega1, float)
+        assert np.array_equal(batch.as_array()[idx], single.as_array())
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (np.diag([0.0, 0.0, 0.0, 1.0]) + 2.0 * np.eye(4)[[3]].T @ np.eye(4)[[0]], "index 4: rotor "
+         "coordinates leave the unit disc"),
+        (np.diag([0.0, 0.0, 0.0, 1.0]) / 0.4, "index 4: omega3 = "),
+    ],
+    ids=["disc", "band"],
+)
+def test_rotor_map_range_checks_name_the_state(rng, bad, message):
+    # the range checks run on the whole stack; the message names the first bad state
+    params = model.ModelParams(gamma=1.0)
+    good = [OnSiteState.random_even(rng).matrix for _ in range(4)]
+    stack = np.array(good + [bad, bad])
+    with pytest.raises(ValueError, match=message):
+        rotor_map(params, stack)
+    with pytest.raises(ValueError) as single:
+        rotor_map(params, bad)
+    assert "index" not in str(single.value)
+
+
+def test_rotor_map_rejects_nan_states(rng):
+    stack = np.array([OnSiteState.random_even(rng).matrix for _ in range(3)])
+    stack[1, 0, 0] = np.nan
+    with pytest.raises(ValueError, match="index 1: rotor coordinates leave the unit disc"):
+        rotor_map(model.ModelParams(gamma=1.0), stack)
 
 
 def test_polynomial_agrees_with_cylindrical_wrapper(rng):
@@ -241,6 +280,91 @@ def test_polynomial_algebra_guard():
         _ = f * g  # different operator tuples
     h = f * 2.0
     assert h.monomials[0][0] == 2.0
+
+
+def _random_polynomial(rng, ops, max_degree=3):
+    monos = tuple(
+        (complex(rng.normal(), rng.normal()),
+         tuple(int(i) for i in rng.integers(0, len(ops), size=int(rng.integers(0, max_degree + 1)))))
+        for _ in range(int(rng.integers(1, 4)))
+    )
+    return PolynomialFunction(ops, monos)
+
+
+def _canonical(monomials):
+    return tuple((complex(c), tuple(sorted(idx))) for c, idx in monomials)
+
+
+def _same_monomials(got, expected):
+    """Equal index lists in order; coefficients equal to rounding (numpy's
+    complex product may differ from Python's in the last bit)."""
+    assert [idx for _, idx in got] == [idx for _, idx in expected]
+    for (c_got, _), (c_exp, _) in zip(got, expected):
+        assert abs(c_got - c_exp) <= 4e-16 * abs(c_exp)
+
+
+_BRACKET_OPS = (
+    classical.PAIR_X,
+    classical.PAIR_Y,
+    (fock.N_UP + fock.N_DN).astype(complex),
+    (fock.N_UP @ fock.N_DN).astype(complex),
+)
+
+
+def test_sums_and_products_from_tables_match_the_monomial_lists(rng):
+    # the tables of f + g and f * g, built from those of f and g, against
+    # polynomials constructed from the concatenated and the paired monomials
+    for _ in range(20):
+        f = _random_polynomial(rng, _BRACKET_OPS)
+        g = _random_polynomial(rng, _BRACKET_OPS, max_degree=5)
+        sum_ = PolynomialFunction(_BRACKET_OPS, f.monomials + g.monomials)
+        product = PolynomialFunction(
+            _BRACKET_OPS,
+            tuple((c1 * c2, i1 + i2) for c1, i1 in f.monomials for c2, i2 in g.monomials),
+        )
+        scaled = PolynomialFunction(_BRACKET_OPS, tuple((2.5j * c, i) for c, i in f.monomials))
+        for built, expected in ((f + g, sum_), (f * g, product), (2.5j * f, scaled)):
+            _same_monomials(built.monomials, _canonical(expected.monomials))
+            assert built.operators is f.operators  # not copied, not checked again
+            rho = OnSiteState.random_even(rng)
+            assert abs(built(rho) - expected(rho)) <= 1e-14 * (1 + abs(expected(rho)))
+            x = built.arguments(rho)
+            assert np.allclose(built.gradient_args(x), expected.gradient_args(x), rtol=1e-14)
+
+
+def _bracket_by_loops(f, g):
+    """The bracket polynomial monomial by monomial, by the product rule."""
+    n_f, n_g = f.n_args, g.n_args
+    monos = []
+    for cf, idx_f in f.monomials:
+        for pos_f, a in enumerate(idx_f):
+            for cg, idx_g in g.monomials:
+                for pos_g, b in enumerate(idx_g):
+                    rest_g = tuple(n_f + k for k in idx_g[:pos_g] + idx_g[pos_g + 1:])
+                    rest = idx_f[:pos_f] + idx_f[pos_f + 1:] + rest_g
+                    monos.append((cf * cg, rest + (n_f + n_g + a * n_g + b,)))
+    return _canonical(monos) if monos else ((0j, ()),)
+
+
+def test_bracket_polynomial_matches_the_product_rule_and_the_bracket(rng):
+    for _ in range(30):
+        f, g = (_random_polynomial(rng, _BRACKET_OPS) for _ in range(2))
+        inner = bracket_polynomial(f, g)
+        _same_monomials(inner.monomials, _bracket_by_loops(f, g))
+        assert inner.n_args == 4 + 4 + 16
+        rho = OnSiteState.random_even(rng)
+        assert abs(inner(rho) - poisson_bracket(f, g, rho)) <= 1e-13 * (1 + abs(inner(rho)))
+    # operator lists of different lengths: i[A_j, B_k] sits at n_f + n_g + j n_g + k
+    f = _random_polynomial(rng, _BRACKET_OPS[:2])
+    g = _random_polynomial(rng, _BRACKET_OPS[1:])
+    while not (f._factors.size and g._factors.size):
+        f, g = _random_polynomial(rng, _BRACKET_OPS[:2]), _random_polynomial(rng, _BRACKET_OPS[1:])
+    inner = bracket_polynomial(f, g)
+    _same_monomials(inner.monomials, _bracket_by_loops(f, g))
+    assert abs(inner(rho) - poisson_bracket(f, g, rho)) <= 1e-13 * (1 + abs(inner(rho)))
+    constant = PolynomialFunction(_BRACKET_OPS, ((3.0, ()),))
+    zero = bracket_polynomial(constant, f)
+    assert zero.monomials == ((0j, ()),) and zero(rho) == 0
 
 
 def _state_stack(rng, shape):

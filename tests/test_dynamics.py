@@ -1,4 +1,8 @@
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -322,6 +326,46 @@ def test_mixed_state_rejects_non_finite():
     dmat[3, 3] = np.nan
     with pytest.raises(ValueError):
         dynamics.GlobalState(n_sites=2, kind="mixed", data=dmat)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_mixed_state_rejects_non_finite_off_diagonal(value):
+    # a Hermitian pair of non-finite entries keeps the trace at 1, and every
+    # comparison with NaN is false: only the explicit finite check stops it
+    dmat = np.eye(16, dtype=complex) / 16.0
+    dmat[0, 5] = value
+    dmat[5, 0] = np.conj(value)
+    with pytest.raises(ValueError, match="non-finite"):
+        dynamics.GlobalState(n_sites=2, kind="mixed", data=dmat)
+
+
+def test_mixed_state_rejects_non_positive(rng):
+    # trace 1 and Hermitian, but with a negative eigenvalue far below -STATE_TOL
+    dmat = np.diag([0.6, 0.6, -0.2] + [0.0] * 13).astype(complex)
+    q, _ = np.linalg.qr(rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)))
+    dmat = q @ dmat @ q.conj().T
+    dmat = 0.5 * (dmat + dmat.conj().T)
+    with pytest.raises(ValueError, match="not positive"):
+        dynamics.GlobalState(n_sites=2, kind="mixed", data=dmat)
+
+
+def test_product_state_leaves_scipy_linalg_unloaded():
+    # the positivity test is numpy's Cholesky: a product state at N = 4 loads
+    # neither scipy.linalg nor its OpenBLAS
+    code = (
+        "import sys\n"
+        "from mfbcs import dynamics\n"
+        "from mfbcs.states import OnSiteState\n"
+        "dynamics.product_state(4, OnSiteState.pair_superposition(0.3))\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120,
+        check=True,
+    )
+    assert proc.stdout.splitlines() == ["[]"]
 
 
 def test_capacity_errors():

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from mfbcs import dynamics, equilibrium, model
+from mfbcs.errors import NumericalAbortError
 from mfbcs.flow import mixture_flow, observables
 
 from conftest import decoupled_pressure_n
@@ -198,3 +200,128 @@ def test_condensate_density_approaches_gap_value():
         for n in range(1, 5)
     ]
     assert all(b < a for a, b in zip(errs, errs[1:]))
+
+
+# --- closed form against the eigvalsh and brentq oracles ----------------------
+
+
+def _eigvalsh_pressure(params, beta, c):
+    """Oracle of pressure_onsite: beta^{-1} ln of the 4x4 decoupled spectrum's partition sum."""
+    w = np.linalg.eigvalsh(model.decoupled_hamiltonian(params, c))
+    return np.logaddexp.reduce(-beta * w, axis=-1) / beta
+
+
+def _brentq_gap(params, beta):
+    """Oracle of gap_solve: the same 4097-point grid and tie rule on the eigvalsh
+    pressure, refined by brentq on the pair expectation of the eigh Gibbs state."""
+    rs = np.linspace(0.0, 1.0, 4097)
+    f = -params.gamma * rs**2 + _eigvalsh_pressure(params, beta, rs)
+    fmax = float(f.max())
+    idx = int(np.nonzero(f >= fmax - 1e-12 * max(1.0, abs(fmax)))[0].min())
+    r_star = float(rs[idx])
+    if params.gamma > 0.0 and 0 < idx < len(rs) - 1:
+        def residual(r):
+            return equilibrium.approx_gibbs_onsite(params, beta, r).pair_expectation().real - r
+
+        lo, hi = rs[idx - 1], rs[idx + 1]
+        if residual(lo) > 0.0 > residual(hi):
+            r_star = brentq(residual, lo, hi, xtol=1e-16)
+    return r_star, float(-params.gamma * r_star**2 + _eigvalsh_pressure(params, beta, r_star))
+
+
+def _first_order_points(rng, count):
+    """Couplings on both sides of first-order transitions, off the knife edge.
+
+    A jump of r* along gamma is located by bisection to ~1e-14; exactly there
+    the grid's two maxima lie within the tie tolerance of each other, and any
+    two roundings may pick different branches.  The points sit 1e-8 and 1e-6
+    (relative) away, on each side, where the branches differ by far more.
+    """
+    points = []
+    while len(points) < 4 * count:
+        mu, h, lam = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0), rng.uniform(0.0, 1.0)
+        beta = float(rng.uniform(2.0, 8.0))
+
+        def params_at(gamma):
+            return model.ModelParams(mu=mu, h=h, lam=lam, gamma=float(gamma))
+
+        gammas = np.linspace(0.5, 8.0, 16)
+        rs = np.array([equilibrium.gap_solve(params_at(g), beta).r_star for g in gammas])
+        k = int(np.argmax(np.diff(rs)))
+        if rs[k + 1] - rs[k] < 0.1:  # no jump on this line
+            continue
+        lo, hi, middle = gammas[k], gammas[k + 1], 0.5 * (rs[k] + rs[k + 1])
+        for _ in range(45):
+            mid = 0.5 * (lo + hi)
+            if equilibrium.gap_solve(params_at(mid), beta).r_star > middle:
+                hi = mid
+            else:
+                lo = mid
+        below = equilibrium.gap_solve(params_at(lo * (1 - 1e-8)), beta).r_star
+        above = equilibrium.gap_solve(params_at(hi * (1 + 1e-8)), beta).r_star
+        if above - below < 0.05:  # a steep but continuous onset
+            continue
+        for gamma in (lo * (1 - 1e-8), hi * (1 + 1e-8), lo * (1 - 1e-6), hi * (1 + 1e-6)):
+            points.append((params_at(gamma), beta))
+    return points
+
+
+def test_closed_form_matches_eigvalsh_and_brentq_oracles():
+    rng = np.random.default_rng(2024)
+    points = [
+        (model.ModelParams.random(rng, gamma_max=10.0), float(rng.uniform(0.2, 5.0)))
+        for _ in range(260)
+    ]
+    points += [
+        (model.ModelParams(mu=rng.uniform(-1, 1), h=rng.uniform(-1, 1), lam=rng.uniform(0, 1)),
+         float(rng.uniform(0.2, 5.0)))
+        for _ in range(10)
+    ]
+    points += _first_order_points(rng, 8)
+    assert len(points) >= 300
+    phases = 0
+    for params, beta in points:
+        sol = equilibrium.gap_solve(params, beta)
+        r_star, value = _brentq_gap(params, beta)
+        assert abs(sol.r_star - r_star) <= 1e-13, (params, beta)
+        assert abs(sol.pressure_value - value) <= 1e-14 * max(1.0, abs(value)), (params, beta)
+        phases += sol.superconducting
+        c = rng.uniform(0.0, 1.0) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+        p = _eigvalsh_pressure(params, beta, c)
+        assert abs(equilibrium.pressure_onsite(params, beta, c) - p) <= 1e-14 * max(1.0, abs(p))
+    # both phases are sampled
+    assert 50 < phases < len(points) - 50
+
+
+def test_density_and_gap_factor_match_the_gibbs_state(rng):
+    # omega_r(P) = r gap(r) and omega_r(n_up + n_dn) against the eigh Gibbs state
+    for _ in range(40):
+        params = model.ModelParams.random(rng, gamma_max=10.0)
+        beta = float(rng.uniform(0.2, 5.0))
+        rs = np.array([0.0, *rng.uniform(0.0, 1.0, size=3)])
+        sector = equilibrium._PairSector.at(params, beta, rs)
+        for r, gap, density in zip(rs, sector.gap, sector.density):
+            rec = observables(params, equilibrium.approx_gibbs_onsite(params, beta, r))
+            assert abs(r * gap - rec.z.real) < 1e-14
+            assert abs(density - rec.d) < 1e-14
+        sol = equilibrium.gap_solve(params, beta)
+        state = equilibrium.approx_gibbs_onsite(params, beta, sol.r_star)
+        assert abs(sol.density_at_solution - observables(params, state).d) < 1e-14
+
+
+def test_gap_solve_zero_order_parameter_limits():
+    # E_r = 0 at eps = 0, r = 0: the gap factor takes its limit gamma beta / Z_0
+    params = model.ModelParams(mu=0.3, lam=0.3, gamma=2.0)
+    sector = equilibrium._PairSector.at(params, 1.5, np.array([0.0]))
+    z0 = 2.0 * math.exp(1.5 * 0.3) + 2.0  # singles 2 e^{beta mu}, pair 2 cosh 0
+    assert abs(sector.gap[0] - 2.0 * 1.5 / z0) < 1e-15
+    assert np.isfinite(sector.density).all()
+
+
+def test_gap_solve_overflowing_levels_abort():
+    # the naive sqrt(eps**2 + (gamma r)**2) raised OverflowError here
+    params = model.ModelParams(mu=-1.0e308, gamma=1.0e308)
+    with np.errstate(all="ignore"):
+        assert np.isfinite(equilibrium.pressure_onsite(params, 1.0, 0.5))
+        with pytest.raises(NumericalAbortError, match="levels overflow"):
+            equilibrium.gap_solve(params, 1.0)

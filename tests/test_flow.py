@@ -360,6 +360,20 @@ def test_dyson_grid_drive_equals_scalar_drive(rng, t):
     assert grid.quadrature_error == looped.quadrature_error
 
 
+def test_dyson_non_hermitian_operator_vs_ode(rng):
+    # the series runs on the Hermitian parts of a_op and recombines them
+    params = model.ModelParams.random(rng)
+    traj = flow_onsite(params, OnSiteState.random_even(rng), [0.0, 0.1])
+    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    res = dyson_phillips(params, traj.state_matrix, 0.1, 8, a)
+    ref = (heisenberg_propagator_ode(params, traj.state_matrix, 0.1) @ a.ravel()).reshape(4, 4)
+    assert np.max(np.abs(res.operator - ref)) < 1e-9
+    # linear in a_op: the anti-Hermitian part alone is i times a Hermitian series
+    b = 0.5j * (a.conj().T - a)
+    alone = dyson_phillips(params, traj.state_matrix, 0.1, 8, 1j * b).operator
+    assert np.array_equal(alone, 1j * dyson_phillips(params, traj.state_matrix, 0.1, 8, b).operator)
+
+
 def test_dyson_truncation_error_raised(rng):
     params = model.ModelParams(mu=1.0, h=0.5, lam=1.0, gamma=2.0)
     rho = OnSiteState.pair_superposition(0.7)
