@@ -127,6 +127,13 @@ def _as_int(value, path: str) -> int:
     return int(value)
 
 
+def _as_seed(value, path: str) -> int:
+    seed = _as_int(value, path)
+    if seed < 0:
+        raise _fail(path, f"a seed must be >= 0, got {seed}")
+    return seed
+
+
 def _check_keys(mapping: dict, allowed: set, path: str) -> None:
     for key in mapping:
         if key not in allowed:
@@ -151,7 +158,7 @@ def _parse_state(raw, path: str) -> StateSpec:
         kind=kind,
         angle=_as_float(raw.get("angle", math.pi / 6.0), f"{path}.angle"),
         phase=_as_float(raw.get("phase", 0.0), f"{path}.phase"),
-        seed=_as_int(raw.get("seed", 0), f"{path}.seed"),
+        seed=_as_seed(raw.get("seed", 0), f"{path}.seed"),
         c=c,
     )
 
@@ -199,13 +206,17 @@ def _table_rows(command: str, sites: Sequence[int], n_states: int, n_times: int)
     return 0
 
 
-def parse_config(text: str, command: Optional[str] = None) -> RunConfig:
+def parse_config(
+    text: str, command: Optional[str] = None, overrides: Optional[Dict[str, object]] = None
+) -> RunConfig:
     """Parse a YAML config document into a validated RunConfig.
 
     Unknown keys are rejected; defaults are seed=0 and threads=1.  Time
     grids, scans and the converge, liouville and rotor tables are held to
     MAX_GRID_POINTS points or rows before anything is computed.
     A command passed by the CLI must agree with any command in the document.
+    ``overrides`` (the CLI's --seed, --threads and --out) replace the
+    document's top-level values before any of them is checked.
     """
     try:
         raw = yaml.load(text, Loader=_YAML_LOADER)
@@ -217,6 +228,7 @@ def parse_config(text: str, command: Optional[str] = None) -> RunConfig:
         raw = {}
     if not isinstance(raw, dict):
         raise ConfigError("config must be a mapping")
+    raw = {**raw, **(overrides or {})}
     _check_keys(raw, _TOP_KEYS, "")
 
     doc_command = raw.get("command")
@@ -295,7 +307,7 @@ def parse_config(text: str, command: Optional[str] = None) -> RunConfig:
     if fd_step < classical.FD_STEP_FLOOR:
         raise _fail("fd_step", f"must be >= {classical.FD_STEP_FLOOR:g}")
 
-    seed = _as_int(raw.get("seed", 0), "seed")
+    seed = _as_seed(raw.get("seed", 0), "seed")
     threads = _as_int(raw.get("threads", 1), "threads")
     if threads < 1:
         raise _fail("threads", "must be >= 1")
@@ -626,16 +638,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.config:
             with open(args.config, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        config = parse_config(text, command=args.command)
-        overrides = {}
-        if args.out is not None:
-            overrides["out"] = args.out
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if args.threads is not None:
-            overrides["threads"] = args.threads
-        if overrides:
-            config = replace(config, **overrides)
+        overrides = {
+            key: value
+            for key, value in (("out", args.out), ("seed", args.seed), ("threads", args.threads))
+            if value is not None
+        }
+        config = parse_config(text, command=args.command, overrides=overrides)
         table = run(config)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

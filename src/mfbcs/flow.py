@@ -22,8 +22,11 @@ One 4x4 eigendecomposition of K serves every time, backward ones included;
 a stack of seeds is diagonalized in one batched call and evaluated at every
 (time, seed) pair at once.
 :func:`flow_ode`, kept only as the independent oracle of the verification
-suite, integrates the nonlinear equation for a stack of K states in one
-DOP853 solve at rtol 1e-12.
+suite, integrates the nonlinear equation for a stack of K states by one
+Taylor-series recurrence: the right-hand side is quadratic in D, so its
+Taylor coefficients follow from the lower ones (:func:`_taylor_solve`).
+The same recurrence carries the Heisenberg propagator along the flow
+(:func:`heisenberg_propagator_ode`).  Neither loads scipy.
 
 A :class:`Trajectory` is the flow on a time grid held as arrays: the
 validated, read-only (T, 4, 4) stack of density matrices and the observable
@@ -44,7 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -153,41 +156,126 @@ class ClosedFormFlow:
         return w @ self.seed @ w.swapaxes(-1, -2).conj()
 
 
+#: Longest sub-step of the Taylor oracles, the size of the newest scaled
+#: term (its largest entry) at which a series is cut, and the order cap.
+TAYLOR_STEP = 0.25
+TAYLOR_TOL = 1e-17
+TAYLOR_MAX_ORDER = 60
+
+
+class OracleSolution(NamedTuple):
+    """What a Taylor oracle returns: the solution, the largest entry of the
+    newest term at which any sub-step's series was cut (the estimate of its
+    truncation error), and the highest order any sub-step needed."""
+
+    value: np.ndarray
+    truncation: float
+    order: int
+
+
+def _taylor_solve(
+    params: Sequence[model.ModelParams],
+    seeds: np.ndarray,
+    times: np.ndarray,
+    propagate: bool,
+) -> Tuple[np.ndarray, Optional[np.ndarray], float, int]:
+    """Taylor-series integration of K stacked flows dD/dt = -i[dh(D), D] from t = 0.
+
+    The right-hand side is quadratic in D, so the Taylor coefficients of
+    D(t0 + s) = sum_k a_k s^k follow by recurrence.  With c_k = tr(a_k P),
+    the generator's coefficients are H_0 = dh(a_0) and
+    H_k = -gamma (c_k P+ + cbar_k P), and
+    a_{k+1} = -i/(k+1) (X_k - X_k^dagger), X_k = sum_{j<=k} H_j a_{k-j}.
+    Every a_k is Hermitian, so the P part of X_k is -gamma (P+ Y + P Y^dagger)
+    with Y = sum_{j>=1} c_j a_{k-j}.  With ``propagate`` the superoperators
+    T of dT/dt = T Delta(t), T(0) = 1, ride along, Delta(t) that of
+    B -> i[dh(D_t), B] (:func:`_superop`):
+    T_{k+1} = 1/(k+1) sum_j T_j Delta_{k-j}.  The coefficients are
+    kept scaled by step**k.  Orders are added until the newest two scaled
+    terms have no entry above TAYLOR_TOL, and the series is summed from its
+    highest order down (Horner at the end of the sub-step).  The times are
+    visited in their order, each interval from the previous one in equal
+    sub-steps of at most TAYLOR_STEP.  Returns the (T, K, 4, 4) states, the
+    (T, K, 16, 16) propagators or None, the truncation estimate and the
+    highest order.
+    """
+    gamma = np.array([p.gamma for p in params])[:, None, None]
+    h0 = np.array([model.onsite_h(p) for p in params])
+    pair_dag, pair = gamma * fock.PAIR_DAG, gamma * fock.PAIR
+    if propagate:
+        sup_dag, sup = gamma * _superop(fock.PAIR_DAG), gamma * _superop(fock.PAIR)
+    rho = seeds
+    prop = np.broadcast_to(np.eye(16, dtype=complex), (len(seeds), 16, 16)) if propagate else None
+    a = np.empty((TAYLOR_MAX_ORDER + 1,) + seeds.shape, dtype=complex)
+    c = np.empty((TAYLOR_MAX_ORDER + 1, len(seeds)), dtype=complex)
+    tk = np.empty((TAYLOR_MAX_ORDER + 1, len(seeds), 16, 16), dtype=complex) if propagate else None
+    states, props = [], []
+    truncation, highest = 0.0, 0
+    now = 0.0
+    for t in times:
+        n_steps = math.ceil(abs(t - now) / TAYLOR_STEP)
+        step = (t - now) / max(n_steps, 1)
+        for _ in range(n_steps):
+            a[0] = rho
+            c[0] = np.einsum("kij,ji->k", rho, fock.PAIR)
+            h_0 = h0 - (c[0, :, None, None] * pair_dag + np.conj(c[0])[:, None, None] * pair)
+            if propagate:
+                tk[0] = prop
+                delta_0 = _superop(h_0)
+            newest = np.inf
+            for k in range(TAYLOR_MAX_ORDER):
+                x = h_0 @ a[k]
+                if k:
+                    y = np.einsum("jk,jkab->kab", c[1 : k + 1], a[k - 1 :: -1])
+                    x -= pair_dag @ y + pair @ y.swapaxes(-1, -2).conj()
+                a[k + 1] = (-1j * step / (k + 1)) * (x - x.swapaxes(-1, -2).conj())
+                c[k + 1] = np.einsum("kij,ji->k", a[k + 1], fock.PAIR)
+                size = float(np.abs(a[k + 1]).max())
+                if propagate:
+                    z = tk[k] @ delta_0
+                    if k:
+                        past = tk[k - 1 :: -1]
+                        z -= np.einsum("jk,jkab->kab", c[1 : k + 1], past) @ sup_dag
+                        z -= np.einsum("jk,jkab->kab", np.conj(c[1 : k + 1]), past) @ sup
+                    tk[k + 1] = (step / (k + 1)) * z
+                    size = max(size, float(np.abs(tk[k + 1]).max()))
+                if max(size, newest) <= TAYLOR_TOL:
+                    break
+                newest = size
+            else:
+                raise NumericalAbortError(
+                    f"Taylor oracle needs more than {TAYLOR_MAX_ORDER} orders "
+                    f"on a sub-step of {step:.3g}"
+                )
+            order = k + 1
+            truncation, highest = max(truncation, size, newest), max(highest, order)
+            rho = a[order::-1].sum(axis=0)
+            if propagate:
+                prop = tk[order::-1].sum(axis=0)
+        now = t
+        states.append(rho)
+        props.append(prop)
+    return np.array(states), np.array(props) if propagate else None, truncation, highest
+
+
 def flow_ode(
     params: Sequence[model.ModelParams], d0: np.ndarray, times: Sequence[float]
-) -> np.ndarray:
-    """DOP853 oracle for K stacked flows dD_k/dt = -i[dh_k(D_k), D_k].
+) -> OracleSolution:
+    """Taylor-series oracle for K stacked flows dD_k/dt = -i[dh_k(D_k), D_k].
 
     Kept only to check :class:`ClosedFormFlow`.  The K systems, one per
-    ``params[k]`` and seed ``d0[k]`` of the (K, 4, 4) stack, are integrated
-    together in one call at rtol 1e-12, atol 1e-14; the right-hand side is
-    one batched commutator.  ``times`` must run monotonically away from
-    t = 0 in one direction (0 itself allowed as the first entry); the
-    matrices come back as (K, len(times), 4, 4).
+    ``params[k]`` and Hermitian seed ``d0[k]`` of the (K, 4, 4) stack, are
+    integrated together from t = 0 by one recurrence (:func:`_taylor_solve`);
+    ``times`` are visited in their order, forward or backward.  The value
+    is the (K, len(times), 4, 4) stack of matrices.
     """
-    # imported here, not at module level: scipy.integrate takes ~0.25 s to load
-    from scipy.integrate import solve_ivp
-
     seeds = np.asarray(d0, dtype=complex)
     if seeds.shape != (len(params), 4, 4):
         raise ValueError(f"expected {len(params)} stacked 4x4 seeds, got {seeds.shape}")
-    h0 = np.array([model.onsite_h(p) for p in params])
-    gamma = np.array([p.gamma for p in params])[:, None, None]
-
-    def rhs(_t: float, y: np.ndarray) -> np.ndarray:
-        dmat = y.view(complex).reshape(-1, 4, 4)
-        c = np.einsum("kij,ji->k", dmat, fock.PAIR)[:, None, None]
-        dh = h0 - gamma * (c * fock.PAIR_DAG + np.conj(c) * fock.PAIR)
-        return (-1j * model.hermitian_commutator(dh, dmat)).ravel().view(float)
-
-    times = np.asarray(times, dtype=float)
-    y0 = seeds.ravel().view(float).copy()
-    sol = solve_ivp(
-        rhs, (0.0, times[-1]), y0, method="DOP853", rtol=1e-12, atol=1e-14, t_eval=times
+    states, _, truncation, order = _taylor_solve(
+        params, seeds, np.asarray(times, dtype=float), propagate=False
     )
-    if not sol.success:
-        raise NumericalAbortError(f"flow oracle failed: {sol.message}")
-    return np.ascontiguousarray(sol.y.T).view(complex).reshape(len(times), -1, 4, 4).swapaxes(0, 1)
+    return OracleSolution(states.swapaxes(0, 1), truncation, order)
 
 
 _RANGE_SLACK = 1e-8
@@ -244,47 +332,6 @@ def flow_onsite(
     return Trajectory(
         times=times, matrices=matrices, evaluator=evaluator, **_stack_columns(params, matrices)
     )
-
-
-def self_consistency_residual(params: model.ModelParams, traj: Trajectory) -> float:
-    """Fixed-point residual of a solved trajectory.
-
-    Freezes the drive to the solved path, re-integrates the now linear
-    equation dD/dt = -i[dh(path(t)), D] by DOP853 at rtol 1e-9, atol 1e-12,
-    and returns the max-norm deviation from the original states.  For a
-    true solution this is bounded by twice the integrator tolerance.
-    """
-    # imported here, not at module level: scipy.integrate takes ~0.25 s to load
-    from scipy.integrate import solve_ivp
-
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        dmat = y.view(complex).reshape(4, 4)
-        dh = model.effective_hamiltonian(params, traj.state_matrix(t))
-        return (-1j * (dh @ dmat - dmat @ dh)).ravel().view(float)
-
-    d0 = traj.state_matrix(0.0)
-    worst = 0.0
-    for sign in (1.0, -1.0):
-        branch = traj.times[traj.times * sign > 0.0]
-        if branch.size == 0:
-            continue
-        branch = np.sort(branch) if sign > 0 else np.sort(branch)[::-1]
-        sol = solve_ivp(
-            rhs,
-            (0.0, float(branch[-1])),
-            d0.ravel().view(float).copy(),
-            method="DOP853",
-            rtol=1e-9,
-            atol=1e-12,
-            t_eval=branch,
-        )
-        if not sol.success:
-            raise NumericalAbortError(f"residual integration failed: {sol.message}")
-        for t, col in zip(branch, sol.y.T):
-            redone = np.ascontiguousarray(col).view(complex).reshape(4, 4)
-            idx = int(np.argmin(np.abs(traj.times - t)))
-            worst = max(worst, float(np.max(np.abs(redone - traj.matrices[idx]))))
-    return worst
 
 
 @dataclass(frozen=True)
@@ -352,8 +399,7 @@ def interference_prediction(
 #: A prescribed drive: maps a time to the on-site state entering the
 #: generator.  :func:`dyson_phillips` calls it once with the whole array of
 #: grid times and takes a result of shape ``grid.shape + (4, 4)``, or one
-#: state broadcast to every time (a constant drive such as ``lambda s: rho``);
-#: :func:`heisenberg_propagator_ode` calls it with one float at a time.
+#: state broadcast to every time (a constant drive such as ``lambda s: rho``).
 DriveFn = Callable[[Union[float, np.ndarray]], Union[OnSiteState, np.ndarray]]
 
 
@@ -367,16 +413,13 @@ class DysonResult:
 _EYE4 = np.eye(4)
 
 
-def _generator_superop(
-    params: model.ModelParams, rho: Union[OnSiteState, np.ndarray]
-) -> np.ndarray:
-    """Superoperator of B -> i [dh(rho), B] in row-major vec convention.
+def _superop(dh: np.ndarray) -> np.ndarray:
+    """Superoperator of B -> i [dh, B] in row-major vec convention.
 
-    ``rho`` is one state or a stack (..., 4, 4) of density matrices; the
-    result i (dh (x) 1 - 1 (x) dh^T) has shape (..., 16, 16).  The last
-    four axes of the product below are (i, k, j, l): row 4i+k, column 4j+l.
+    ``dh`` is one operator or a stack (..., 4, 4); the result
+    i (dh (x) 1 - 1 (x) dh^T) has shape (..., 16, 16).  The last four axes
+    of the product below are (i, k, j, l): row 4i+k, column 4j+l.
     """
-    dh = model.effective_hamiltonian(params, rho)
     dh_t = np.swapaxes(dh, -1, -2)
     sup = (
         dh[..., :, None, :, None] * _EYE4[:, None, :]
@@ -480,26 +523,22 @@ def dyson_phillips(
 
 
 def heisenberg_propagator_ode(
-    params: model.ModelParams,
-    drive: DriveFn,
-    t: float,
-    rtol: float = 1e-11,
-    atol: float = 1e-13,
-) -> np.ndarray:
-    """Independent ODE route to the same driven Heisenberg superoperator.
+    params: model.ModelParams, rho0: Union[OnSiteState, np.ndarray], t: float
+) -> OracleSolution:
+    """Independent route to the Heisenberg superoperator of the flow from rho0.
 
-    Solves dT/dt = T Delta(t), T(0) = 1, and returns T(t) as a 16x16 matrix;
-    used to validate the truncated series.
+    Solves dT/dt = T Delta(t), T(0) = 1, with Delta the generator
+    superoperator at the flow's own state, by integrating the flow and T
+    together from the seed in one Taylor recurrence (:func:`_taylor_solve`).
+    The drive is never evaluated from the closed form, so the series of
+    :func:`dyson_phillips` driven by :class:`ClosedFormFlow` is checked
+    against a path that does not see it.  The value is T(t) as a 16x16
+    matrix.
     """
-    # imported here, not at module level: scipy.integrate takes ~0.25 s to load
-    from scipy.integrate import solve_ivp
-
-    def rhs(s: float, y: np.ndarray) -> np.ndarray:
-        mat = y.view(complex).reshape(16, 16)
-        return (mat @ _generator_superop(params, drive(float(s)))).ravel().view(float)
-
-    y0 = np.eye(16, dtype=complex).ravel().view(float).copy()
-    sol = solve_ivp(rhs, (0.0, t), y0, method="DOP853", rtol=rtol, atol=atol)
-    if not sol.success:
-        raise NumericalAbortError(f"propagator integration failed: {sol.message}")
-    return sol.y[:, -1].view(complex).reshape(16, 16)
+    seed = model.density_matrix(rho0)
+    if seed.shape != (4, 4):
+        raise ValueError(f"expected one 4x4 seed, got {seed.shape}")
+    _, props, truncation, order = _taylor_solve(
+        [params], seed[None], np.array([float(t)]), propagate=True
+    )
+    return OracleSolution(props[0, 0], truncation, order)

@@ -125,11 +125,12 @@ def check_cooper_field_law(seed: int = 0) -> CheckResult:
             worst_kappa = max(worst_kappa, float(np.max(np.abs(traj.kappa - rec0.kappa))))
         params, seeds, trajs = zip(*((p, r.matrix, tr.matrices) for p, r, tr in suite))
         ode = flow_ode(params, np.array(seeds), suite[0][2].times)
-        worst_ode = float(np.max(np.abs(np.array(trajs) - ode)))
+        worst_ode = float(np.max(np.abs(np.array(trajs) - ode.value)))
         passed = worst_z < 1e-6 and worst_kappa < 1e-8 and worst_ode <= 1e-9
         detail = (
             f"kappa drift {worst_kappa:.2e} (limit 1e-8), "
-            f"closed form vs DOP853 {worst_ode:.2e} (limit 1e-9)"
+            f"closed form vs Taylor oracle {worst_ode:.2e} (limit 1e-9), "
+            f"oracle truncation {ode.truncation:.1e} at order <= {ode.order}"
         )
         return passed, worst_z, 1e-6, detail
 
@@ -425,23 +426,25 @@ def check_dyson(seed: int = 0) -> CheckResult:
     def body():
         rng = np.random.default_rng(seed + 12)
         t = 0.1
-        worst = remainder = quad_err = 0.0
+        worst = remainder = quad_err = truncation = 0.0
         for _ in range(10):
             params = model.ModelParams.random(rng)
             rho0 = OnSiteState.random_even(rng)
-            traj = flow_onsite(params, rho0, [0.0, t])
-            drive = traj.state_matrix
-            t_prop = heisenberg_propagator_ode(params, drive, t)
+            drive = flow_onsite(params, rho0, [0.0, t]).state_matrix
+            # the oracle integrates the flow itself from rho0, not the closed form
+            t_prop = heisenberg_propagator_ode(params, rho0, t)
             a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
             a = a + a.conj().T
             series = dyson_phillips(params, drive, t, order=8, a_op=a)
-            reference = (t_prop @ a.ravel()).reshape(4, 4)
+            reference = (t_prop.value @ a.ravel()).reshape(4, 4)
             worst = max(worst, float(np.max(np.abs(series.operator - reference))))
             remainder = max(remainder, series.remainder_bound)
             quad_err = max(quad_err, series.quadrature_error)
+            truncation = max(truncation, t_prop.truncation)
         detail = (
             f"order 8, t = 0.1, 10 seeded drives; worst remainder bound {remainder:.2e}, "
-            f"worst quadrature error {quad_err:.2e}"
+            f"worst quadrature error {quad_err:.2e}, "
+            f"Taylor propagator truncation {truncation:.1e}"
         )
         return worst < 1e-8, worst, 1e-8, detail
 

@@ -364,6 +364,44 @@ def test_cli_seed_override(tmp_path):
     assert "seed: 7" in meta
 
 
+@pytest.mark.parametrize("command", cli._COMMANDS)
+@pytest.mark.parametrize(
+    "text, args, message",
+    [
+        ("seed: -1\n", [], "config field 'seed': a seed must be >= 0, got -1"),
+        ("", ["--seed", "-1"], "config field 'seed': a seed must be >= 0, got -1"),
+        ("initial: {kind: random, seed: -3}\n", [],
+         "config field 'initial.seed': a seed must be >= 0, got -3"),
+        ("mixture:\n  - {weight: 1.0, state: {kind: random, seed: -2}}\n", [],
+         "config field 'mixture[0].state.seed': a seed must be >= 0, got -2"),
+        ("", ["--threads", "0"], "config field 'threads': must be >= 1"),
+    ],
+    ids=["seed-key", "seed-flag", "initial-seed", "mixture-seed", "threads-flag"],
+)
+def test_main_rejects_negative_seeds_and_bad_overrides(
+    tmp_path, capsys, command, text, args, message
+):
+    # each ended in np.random.default_rng's ValueError, or ran with 0 threads
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(text)
+    out = tmp_path / "out.csv"
+    assert cli.main([command, "--config", str(cfg), "--out", str(out), *args]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_cli_overrides_replace_the_document_values(tmp_path):
+    # the flags are checked as the keys are, and win over them
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("gamma: 2.0\nseed: -1\nthreads: 0\nout: elsewhere.csv\n")
+    out = tmp_path / "out.csv"
+    argv = ["gap", "--config", str(cfg), "--out", str(out), "--seed", "3", "--threads", "2"]
+    assert cli.main(argv) == 0
+    assert "seed: 3" in (tmp_path / "out.csv.meta.yaml").read_text()
+    config = parse_config(cfg.read_text(), "gap", {"seed": 3, "threads": 2, "out": str(out)})
+    assert (config.seed, config.threads, config.out) == (3, 2, str(out))
+
+
 def test_scan_default_grid_sidecar(tmp_path):
     out = tmp_path / "scan.csv"
     table = run(parse_config(f"command: scan\nout: {out}\n"))
@@ -603,9 +641,9 @@ def test_main_extreme_couplings_exit_3(tmp_path, capsys, monkeypatch, command):
     # bounds them, so they reach the numerics through a RunConfig built directly
     parse = cli.parse_config
 
-    def extreme(text, command=None):
+    def extreme(text, command=None, overrides=None):
         return replace(
-            parse(text, command),
+            parse(text, command, overrides),
             params=model.ModelParams(mu=-1.0e308, gamma=1.0e308),
             scan=(("gamma", (1.0e308,)),),
         )
@@ -734,6 +772,40 @@ print(scipy_modules())
         cwd=tmp_path, timeout=120, check=True,
     )
     assert proc.stdout.splitlines() == ["[]", "[0, 0, 0, 0, 0, 0, 0, 0]", "[]", "[0, 0]", "[]"]
+
+
+def test_verify_leaves_integrate_optimize_special_unloaded(tmp_path):
+    # both ODE oracles are numpy Taylor recurrences; only scipy.sparse loads
+    code = """
+import sys
+import mfbcs.cli as cli
+print(cli.main(["verify", "--seed", "0", "--out", "verify.csv"]))
+print(sorted(m for m in ("scipy.integrate", "scipy.optimize", "scipy.special") if m in sys.modules))
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env,
+        cwd=tmp_path, timeout=300, check=True,
+    )
+    assert proc.stdout.splitlines()[-2:] == ["0", "[]"]
+
+
+def test_no_module_imports_scipy_integrate():
+    # anywhere in a module, function bodies included
+    src = Path(__file__).resolve().parents[1] / "src" / "mfbcs"
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [f"{node.module}.{a.name}" for a in node.names]
+            else:
+                continue
+            if any(n == "scipy.integrate" or n.startswith("scipy.integrate.") for n in names):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
 
 
 def _module_level_statements(body):

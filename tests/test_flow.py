@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import cumulative_simpson
+from scipy.integrate import cumulative_simpson, solve_ivp
 
 from mfbcs import classical, flow, fock, model, verification
-from mfbcs.errors import TruncationError
+from mfbcs.errors import NumericalAbortError, TruncationError
 from mfbcs.flow import (
     ClosedFormFlow,
     dyson_phillips,
@@ -17,10 +17,89 @@ from mfbcs.flow import (
     interference_prediction,
     mixture_flow,
     observables,
-    self_consistency_residual,
 )
 from mfbcs.states import OnSiteState, ProductMixture, parity_commutator_norm
 
+
+# --- DOP853 oracles of the oracles ------------------------------------------
+
+
+def _flow_dop853(params, d0, times):
+    """DOP853 solve of K stacked flows dD_k/dt = -i[dh_k(D_k), D_k].
+
+    The K systems, one per ``params[k]`` and seed ``d0[k]``, are integrated
+    together at rtol 1e-12, atol 1e-14; ``times`` run monotonically away
+    from t = 0 in one direction (0 allowed first).  Returns (K, T, 4, 4).
+    """
+    seeds = np.asarray(d0, dtype=complex)
+    h0 = np.array([model.onsite_h(p) for p in params])
+    gamma = np.array([p.gamma for p in params])[:, None, None]
+
+    def rhs(_t, y):
+        dmat = y.view(complex).reshape(-1, 4, 4)
+        c = np.einsum("kij,ji->k", dmat, fock.PAIR)[:, None, None]
+        dh = h0 - gamma * (c * fock.PAIR_DAG + np.conj(c) * fock.PAIR)
+        return (-1j * model.hermitian_commutator(dh, dmat)).ravel().view(float)
+
+    times = np.asarray(times, dtype=float)
+    sol = solve_ivp(
+        rhs, (0.0, times[-1]), seeds.ravel().view(float).copy(), method="DOP853",
+        rtol=1e-12, atol=1e-14, t_eval=times,
+    )
+    assert sol.success, sol.message
+    return np.ascontiguousarray(sol.y.T).view(complex).reshape(len(times), -1, 4, 4).swapaxes(0, 1)
+
+
+def _generator_superop(params, rho):
+    """Superoperator Delta of B -> i [dh(rho), B] for one state or a stack."""
+    return flow._superop(model.effective_hamiltonian(params, rho))
+
+
+def _propagator_dop853(params, drive, t, rtol=1e-11, atol=1e-13):
+    """DOP853 solve of dT/dt = T Delta(t), T(0) = 1, for a prescribed drive
+    called with one float at a time; returns T(t) as a 16x16 matrix."""
+
+    def rhs(s, y):
+        mat = y.view(complex).reshape(16, 16)
+        return (mat @ _generator_superop(params, drive(float(s)))).ravel().view(float)
+
+    y0 = np.eye(16, dtype=complex).ravel().view(float).copy()
+    sol = solve_ivp(rhs, (0.0, t), y0, method="DOP853", rtol=rtol, atol=atol)
+    assert sol.success, sol.message
+    return sol.y[:, -1].view(complex).reshape(16, 16)
+
+
+def _self_consistency_residual(params, traj):
+    """Fixed-point residual of a solved trajectory.
+
+    Freezes the drive to the solved path, re-integrates the now linear
+    equation dD/dt = -i[dh(path(t)), D] by DOP853 at rtol 1e-9, atol 1e-12,
+    and returns the max-norm deviation from the original states.  For a
+    true solution this is bounded by twice the integrator tolerance.
+    """
+
+    def rhs(t, y):
+        dmat = y.view(complex).reshape(4, 4)
+        dh = model.effective_hamiltonian(params, traj.state_matrix(t))
+        return (-1j * (dh @ dmat - dmat @ dh)).ravel().view(float)
+
+    d0 = traj.state_matrix(0.0)
+    worst = 0.0
+    for sign in (1.0, -1.0):
+        branch = traj.times[traj.times * sign > 0.0]
+        if branch.size == 0:
+            continue
+        branch = np.sort(branch) if sign > 0 else np.sort(branch)[::-1]
+        sol = solve_ivp(
+            rhs, (0.0, float(branch[-1])), d0.ravel().view(float).copy(), method="DOP853",
+            rtol=1e-9, atol=1e-12, t_eval=branch,
+        )
+        assert sol.success, sol.message
+        for t, col in zip(branch, sol.y.T):
+            redone = np.ascontiguousarray(col).view(complex).reshape(4, 4)
+            idx = int(np.argmin(np.abs(traj.times - t)))
+            worst = max(worst, float(np.max(np.abs(redone - traj.matrices[idx]))))
+    return worst
 
 
 def test_observables_vacuum():
@@ -126,16 +205,37 @@ def test_closed_form_matches_flow_ode(rng):
     seeds.append(seeds[0] + 1.5 * classical.even_traceless_basis()[0])
     assert np.linalg.eigvalsh(seeds[2]).min() < 0
     forward = np.linspace(0.0, 5.0, 11)
-    for times in (forward, -forward):
+    # the Taylor oracle visits the times in their order, in either direction
+    for times in (forward, -forward, np.array([1.3, -0.4, 2.0, 2.0, 0.0])):
         ode = flow_ode(params, np.array(seeds), times)
-        assert ode.shape == (3, 11, 4, 4)
-        for p, seed, got in zip(params, seeds, ode):
-            assert np.max(np.abs(ClosedFormFlow.from_matrix(p, seed)(times) - got)) < 1e-9
+        assert ode.value.shape == (3, len(times), 4, 4)
+        assert 0.0 < ode.truncation <= flow.TAYLOR_TOL and ode.order <= flow.TAYLOR_MAX_ORDER
+        for p, seed, got in zip(params, seeds, ode.value):
+            assert np.max(np.abs(ClosedFormFlow.from_matrix(p, seed)(times) - got)) < 1e-13
     # one state is the stack of one
-    single = flow_ode(params[:1], np.array(seeds[:1]), forward)[0]
-    assert np.max(np.abs(ClosedFormFlow.from_matrix(params[0], seeds[0])(forward) - single)) < 1e-9
+    single = flow_ode(params[:1], np.array(seeds[:1]), forward).value[0]
+    assert np.max(np.abs(ClosedFormFlow.from_matrix(params[0], seeds[0])(forward) - single)) < 1e-13
+    assert np.array_equal(flow_ode(params, np.array(seeds), [0.0]).value[:, 0], np.array(seeds))
     with pytest.raises(ValueError, match="3 stacked 4x4 seeds"):
         flow_ode(params, np.array(seeds[:2]), forward)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["forward", "backward"])
+def test_taylor_flow_matches_dop853(sign):
+    rng = np.random.default_rng(26 + int(sign > 0))
+    params = [model.ModelParams.random(rng) for _ in range(50)]
+    seeds = np.array([OnSiteState.random_even(rng).matrix for _ in range(50)])
+    times = sign * np.linspace(0.0, 5.0, 21)
+    taylor = flow_ode(params, seeds, times).value
+    assert np.max(np.abs(taylor - _flow_dop853(params, seeds, times))) <= 1e-11
+
+
+def test_taylor_flow_order_cap():
+    # a generator of norm ~1e3 needs far more than the order cap on a 0.25 step
+    params = model.ModelParams(mu=500.0, gamma=1.0)
+    seed = OnSiteState.pair_superposition(0.4).matrix
+    with pytest.raises(NumericalAbortError, match="more than 60 orders"):
+        flow_ode([params], seed[None], [0.25])
 
 
 def test_closed_form_seed_validation_and_shapes(rng):
@@ -205,7 +305,7 @@ def test_self_consistency_residual(rng):
     params = model.ModelParams.random(rng)
     rho0 = OnSiteState.random_even(rng)
     traj = flow_onsite(params, rho0, np.linspace(0.0, 4.0, 9))
-    res = self_consistency_residual(params, traj)
+    res = _self_consistency_residual(params, traj)
     assert res < 2e-9  # 2x the residual integrator's tolerance scale
 
 
@@ -328,7 +428,7 @@ def test_dyson_flow_drive_vs_ode(rng):
     traj = flow_onsite(params, rho0, [0.0, t])
     a = (1j * (fock.PAIR - fock.PAIR_DAG)).astype(complex)
     res = dyson_phillips(params, traj.state_matrix, t, 8, a)
-    ref = (heisenberg_propagator_ode(params, traj.state_matrix, t) @ a.ravel()).reshape(4, 4)
+    ref = (heisenberg_propagator_ode(params, rho0, t).value @ a.ravel()).reshape(4, 4)
     assert np.max(np.abs(res.operator - ref)) < 1e-10
     # pairing with the evolved density matrix reproduces the flow expectation
     heis = np.trace(rho0.matrix @ res.operator)
@@ -363,10 +463,11 @@ def test_dyson_grid_drive_equals_scalar_drive(rng, t):
 def test_dyson_non_hermitian_operator_vs_ode(rng):
     # the series runs on the Hermitian parts of a_op and recombines them
     params = model.ModelParams.random(rng)
-    traj = flow_onsite(params, OnSiteState.random_even(rng), [0.0, 0.1])
+    rho0 = OnSiteState.random_even(rng)
+    traj = flow_onsite(params, rho0, [0.0, 0.1])
     a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     res = dyson_phillips(params, traj.state_matrix, 0.1, 8, a)
-    ref = (heisenberg_propagator_ode(params, traj.state_matrix, 0.1) @ a.ravel()).reshape(4, 4)
+    ref = (heisenberg_propagator_ode(params, rho0, 0.1).value @ a.ravel()).reshape(4, 4)
     assert np.max(np.abs(res.operator - ref)) < 1e-9
     # linear in a_op: the anti-Hermitian part alone is i times a Hermitian series
     b = 0.5j * (a.conj().T - a)
@@ -414,10 +515,42 @@ def test_dyson_backward_and_odd_grid_vs_ode(rng, t, n_nodes):
     traj = flow_onsite(params, rho0, [0.0, t])
     a = (fock.PAIR + fock.PAIR_DAG).astype(complex)
     res = dyson_phillips(params, traj.state_matrix, t, 8, a, n_nodes=n_nodes)
-    ref = (heisenberg_propagator_ode(params, traj.state_matrix, t) @ a.ravel()).reshape(4, 4)
+    ref = (heisenberg_propagator_ode(params, rho0, t).value @ a.ravel()).reshape(4, 4)
     assert np.max(np.abs(res.operator - ref)) < 1e-10
     assert 0.0 < res.remainder_bound < 1e-10
     assert 0.0 < res.quadrature_error < 1e-8
+
+
+@pytest.mark.parametrize("t", [0.1, -0.1, 0.7])
+def test_taylor_propagator_matches_dop853(t):
+    # the DOP853 solve is driven by the closed form, the Taylor oracle by its
+    # own integration of the flow from the seed
+    rng = np.random.default_rng(int(100 * t) + 200)
+    for _ in range(10):
+        params = model.ModelParams.random(rng)
+        rho0 = OnSiteState.random_even(rng)
+        drive = flow_onsite(params, rho0, [0.0]).state_matrix
+        ref = _propagator_dop853(params, drive, t, rtol=1e-13, atol=1e-15)
+        got = heisenberg_propagator_ode(params, rho0, t)
+        assert got.value.shape == (16, 16)
+        assert np.max(np.abs(got.value - ref)) <= 1e-12
+        assert 0.0 < got.truncation <= flow.TAYLOR_TOL
+
+
+def test_taylor_propagator_of_a_stationary_state(rng):
+    # the vacuum has no Cooper field and is diagonal, so it does not move and
+    # the propagator is exp(t Delta): B -> e^{it h0} B e^{-it h0}
+    params = model.ModelParams.random(rng)
+    h0 = model.onsite_h(params)
+    assert np.count_nonzero(h0 - np.diag(np.diag(h0))) == 0
+    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    for t in (0.0, 0.3, -1.1):
+        phases = np.exp(1j * t * np.diag(h0).real)
+        expected = phases[:, None] * a * phases.conj()[None, :]
+        got = heisenberg_propagator_ode(params, OnSiteState.vacuum(), t).value
+        assert np.max(np.abs((got @ a.ravel()).reshape(4, 4) - expected)) <= 1e-14
+    with pytest.raises(ValueError, match="one 4x4 seed"):
+        heisenberg_propagator_ode(params, np.eye(2), 0.1)
 
 
 def _dyson_sum_reference(deltas, step, order):
@@ -448,7 +581,7 @@ def test_dyson_operator_series_matches_superoperator_series(t, n_nodes):
         a = a + a.conj().T
         res = dyson_phillips(params, traj.state_matrix, t, 8, a, n_nodes=n_nodes)
         grid = np.linspace(0.0, t, 2 * n_nodes + 1)
-        deltas = flow._generator_superop(params, np.array([traj.state_matrix(s) for s in grid]))
+        deltas = _generator_superop(params, np.array([traj.state_matrix(s) for s in grid]))
         ref = _dyson_sum_reference(deltas, t / (2 * n_nodes), 8) @ a.ravel()
         assert np.max(np.abs(res.operator - ref.reshape(4, 4))) <= 1e-12
 
@@ -462,13 +595,13 @@ def test_dyson_norm_is_generator_spectral_norm(rng):
         rho = OnSiteState.random_even(rng)
         res = dyson_phillips(params, lambda s: rho, t, 8, np.eye(4), n_nodes=1)
         m_norm = (res.remainder_bound * math.factorial(9)) ** (1 / 9) / t
-        exact = np.linalg.norm(flow._generator_superop(params, rho), 2)
+        exact = np.linalg.norm(_generator_superop(params, rho), 2)
         assert abs(m_norm - exact) <= 1e-13 * exact
 
 
 def test_density_conservation_runs_no_oracle(monkeypatch):
     def no_oracle(*_args):
-        raise AssertionError("density-conservation ran the DOP853 oracle")
+        raise AssertionError("density-conservation ran the Taylor flow oracle")
 
     monkeypatch.setattr(flow, "flow_ode", no_oracle)
     monkeypatch.setattr(verification, "flow_ode", no_oracle)
