@@ -566,7 +566,7 @@ def _run_rotor(config: RunConfig) -> ResultTable:
         rho0 = OnSiteState.random_even(rng)
         traj = flow_onsite(config.params, rho0, times)
         rotor = classical.rotor_flow(classical.rotor_map(config.params, rho0), times)
-        via_flow = classical.rotor_map(config.params, traj.matrices)
+        via_flow = classical.rotor_map(config.params, traj.state_matrix(times))
         deviations.append(np.max(np.abs(via_flow.as_array() - rotor.as_array()), axis=-1))
     return ResultTable(
         ["state", "t", "deviation"],
@@ -626,12 +626,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         prog="mfbcs",
         description="Strong-coupling pairing model: dynamics, flow, gap equation.",
     )
-    parser.add_argument("command", choices=_COMMANDS)
+    # optional here: parse_config takes it from the config or reports it missing
+    parser.add_argument("command", nargs="?", choices=_COMMANDS)
     parser.add_argument("--config", help="YAML config path", default=None)
     parser.add_argument("--out", help="output CSV path", default=None)
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--threads", type=int, default=None)
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # a usage error exits 1, as a config error does; 2 is capacity
+        return 1 if exc.code == 2 else exc.code
 
     try:
         text = ""

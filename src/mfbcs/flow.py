@@ -11,16 +11,13 @@ the solution itself, which is the self-consistency at the heart of the
 mean-field limit.
 
 The equation is solved in closed form (:class:`ClosedFormFlow`).  The
-Cooper field rotates rigidly at nu = 2(mu - lam) + gamma (1 - d), so in the
-frame rotating with N = n_up + n_dn the generator is frozen and the flow is
-linear:
+Cooper field rotates rigidly at nu = 2(mu - lam) + gamma (1 - d), and for an
+even seed this is an identity of the whole matrix: on (0, up, dn, up-dn)
 
-    D_t = e^{i nu t N/2} e^{-itK} D_0 e^{itK} e^{-i nu t N/2},
-    K = dh(rho_0) + (nu/2) N.
+    D_t = V_t D_0 V_t^dagger,     V_t = diag(1, e^{iht}, e^{-iht}, e^{i nu t}).
 
-One 4x4 eigendecomposition of K serves every time, backward ones included;
-a stack of seeds is diagonalized in one batched call and evaluated at every
-(time, seed) pair at once.
+The densities are constant, the Cooper field turns at nu and the up-dn
+coherence at 2h, at any time, backward ones included.
 :func:`flow_ode`, kept only as the independent oracle of the verification
 suite, integrates the nonlinear equation for a stack of K states by one
 Taylor-series recurrence: the right-hand side is quadratic in D, so its
@@ -28,9 +25,10 @@ Taylor coefficients follow from the lower ones (:func:`_taylor_solve`).
 The same recurrence carries the Heisenberg propagator along the flow
 (:func:`heisenberg_propagator_ode`).  Neither loads scipy.
 
-A :class:`Trajectory` is the flow on a time grid held as arrays: the
-validated, read-only (T, 4, 4) stack of density matrices and the observable
-columns d, m, w, z, kappa, theta and nu of that stack.  For mixtures of
+A :class:`Trajectory` is the flow on a time grid held as columns: d, m and
+w of the seed, z = z_0 e^{i nu t}, and kappa, theta and nu derived from
+them.  Its density matrices are evaluated only on request
+(:meth:`Trajectory.state_matrix`).  For mixtures of
 product states the components evolve independently and expectations
 combine linearly (:class:`MixtureTrajectory`); the Cooper field of the
 mixture is then a sum of rotating phasors, which produces beats in the
@@ -53,11 +51,13 @@ import numpy as np
 
 from . import fock, model
 from .errors import NumericalAbortError, TruncationError
-from .states import HERMITICITY_TOL, TRACE_TOL, OnSiteState, ProductMixture
-from .states import _where, validated_density_matrices
+from .states import EVENNESS_TOL, HERMITICITY_TOL, TRACE_TOL, OnSiteState, ProductMixture
+from .states import _where
 
 _N_TOTAL = fock.SITE_OBSERVABLES["d"]
-_N_DIAG = np.diag(_N_TOTAL).real
+_PARITY = np.diag(fock.PARITY_1).real
+#: The entries that couple the even (0, up-dn) and odd (up, dn) sectors.
+_ODD_ENTRIES = _PARITY[:, None] != _PARITY[None, :]
 
 
 @dataclass(frozen=True)
@@ -91,41 +91,36 @@ def _columns(params: model.ModelParams, d, m, w, z) -> Dict[str, np.ndarray]:
     )
 
 
-def _stack_columns(params: model.ModelParams, matrices: np.ndarray) -> Dict[str, np.ndarray]:
-    """Observable columns of a 4x4 density matrix or a stack (..., 4, 4) of them."""
-    d, m, w, z = (
-        np.trace(matrices @ op, axis1=-2, axis2=-1) for op in fock.SITE_OBSERVABLES.values()
-    )
-    return _columns(params, d.real, m.real, w.real, z)
-
-
 def observables(params: model.ModelParams, rho: OnSiteState) -> SiteObservables:
     """Evaluate the observable record of Prop-style densities at one state."""
-    return SiteObservables(**_stack_columns(params, rho.matrix))
+    d, m, w, z = (np.trace(rho.matrix @ op) for op in fock.SITE_OBSERVABLES.values())
+    return SiteObservables(**_columns(params, d.real, m.real, w.real, z))
 
 
 @dataclass(frozen=True)
 class ClosedFormFlow:
-    """Exact solution of the self-consistent flow from a seed or a stack of seeds.
+    """Exact solution of the self-consistent flow from an even seed or a stack of them.
 
-    Construction does one batched ``eigh`` of K = dh(rho_0) + (nu/2) N =
-    U diag(E) U^dagger over the seeds, of shape S + (4, 4); calling the
-    evaluator at any array of times (negative ones included) is then phases
-    and two 4x4 products per (time, seed).  Any Hermitian trace-1 seed is
-    accepted, positive or not: the rotation law needs only those two
-    properties, so finite-difference displacements out of the state cone
-    evolve by the same formula.
+    For an even, Hermitian, trace-1 seed D_0 the pair block of
+    K = dh(rho_0) + (nu/2) N is -gamma (D_0 - D_00 1) on that block, which
+    commutes with D_0 there, and the odd block of K is diagonal.  The flow
+    is therefore the phase map D_t = V_t D_0 V_t^dagger with
+    V_t = diag(1, e^{iht}, e^{-iht}, e^{i nu t}): entry (i, j) turns at the
+    rate r_i - r_j of r = (0, h, -h, nu), so the diagonal stays bitwise
+    constant and a Hermitian seed stays exactly Hermitian.  Positivity is
+    not needed, so finite-difference displacements out of the state cone
+    evolve by the same map.
     """
 
-    basis: np.ndarray = field(repr=False)  # eigenvectors U of K, S + (4, 4)
-    freqs: np.ndarray = field(repr=False)  # nu n_i / 2 - E_k, the phase rates of U
-    seed: np.ndarray = field(repr=False)  # U^dagger D_0 U
+    seed: np.ndarray = field(repr=False)  # D_0, S + (4, 4)
+    rates: np.ndarray = field(repr=False)  # r_i - r_j, S + (4, 4)
 
     @classmethod
     def from_matrix(cls, params: model.ModelParams, d0: np.ndarray) -> "ClosedFormFlow":
         """The flows of a 4x4 seed or a stack S + (4, 4) of them.
 
-        Every seed must be Hermitian and of unit trace, each to 1e-10; the
+        Every seed must be Hermitian, of unit trace and even (its parity
+        commutator, twice its largest odd entry), each to 1e-10; the
         message names the index of the first failing seed of a stack.
         """
         d0 = np.asarray(d0, dtype=complex)
@@ -134,26 +129,25 @@ class ClosedFormFlow:
         # "<=" so that a NaN entry fails too
         asymmetry = abs(d0 - d0.swapaxes(-1, -2).conj()).max(axis=(-2, -1))
         trace_gap = abs(d0.trace(axis1=-2, axis2=-1) - 1.0)
-        good = (asymmetry <= HERMITICITY_TOL) & (trace_gap <= TRACE_TOL)
+        oddness = 2.0 * abs(d0[..., _ODD_ENTRIES]).max(axis=-1)
+        good = (asymmetry <= HERMITICITY_TOL) & (trace_gap <= TRACE_TOL) & (oddness <= EVENNESS_TOL)
         if not good.all():
-            raise ValueError(f"{_where(~good)}the closed-form flow needs a Hermitian trace-1 seed")
+            raise ValueError(
+                f"{_where(~good)}the closed-form flow needs an even Hermitian trace-1 seed"
+            )
         density = (d0 @ _N_TOTAL).trace(axis1=-2, axis2=-1).real
-        nu = np.asarray(model.precession(params, density))[..., None, None]
-        energies, basis = np.linalg.eigh(
-            model.effective_hamiltonian(params, d0) + 0.5 * nu * _N_TOTAL
-        )
-        freqs = 0.5 * nu * _N_DIAG[:, None] - energies[..., None, :]
-        return cls(basis, freqs, basis.swapaxes(-1, -2).conj() @ d0 @ basis)
+        r = np.zeros(d0.shape[:-1])
+        r[..., 1], r[..., 2], r[..., 3] = params.h, -params.h, model.precession(params, density)
+        rates = r[..., :, None] - r[..., None, :]
+        bad = ~np.isfinite(rates).all(axis=(-2, -1))
+        if bad.any():
+            raise NumericalAbortError(f"{_where(bad)}the flow's phase rates overflow")
+        return cls(d0, rates)
 
     def __call__(self, t: Union[float, np.ndarray]) -> np.ndarray:
-        """D_t = W_t (U^dagger D_0 U) W_t^dagger with W_t = e^{i nu t N/2} U e^{-itE}.
-
-        The result has shape ``np.shape(t) + S + (4, 4)`` for seeds of shape
-        ``S + (4, 4)``.
-        """
-        t = np.asarray(t, dtype=float)[(...,) + (None,) * self.freqs.ndim]
-        w = self.basis * np.exp(1j * t * self.freqs)
-        return w @ self.seed @ w.swapaxes(-1, -2).conj()
+        """D_t, of shape ``np.shape(t) + S + (4, 4)`` for seeds of shape ``S + (4, 4)``."""
+        t = np.asarray(t, dtype=float)[(...,) + (None,) * self.rates.ndim]
+        return self.seed * np.exp(1j * t * self.rates)
 
 
 #: Longest sub-step of the Taylor oracles, the size of the newest scaled
@@ -283,35 +277,16 @@ _RANGE_SLACK = 1e-8
 
 @dataclass(frozen=True)
 class Trajectory(SiteObservables):
-    """The flow on a time grid: its validated (T, 4, 4) stack of density
-    matrices, read-only, and the observable columns of that stack."""
+    """The flow on a time grid: its observable columns and, for the density
+    matrices on request, the phase map of its seed."""
 
     times: np.ndarray = field(repr=False)
-    matrices: np.ndarray = field(repr=False)
-    evaluator: ClosedFormFlow = field(repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        """The densities must stay within their physical ranges, to 1e-8."""
-        checks = [
-            ("d", self.d, 0.0, 2.0),
-            ("m", self.m, -1.0, 1.0),
-            ("w", self.w, 0.0, 1.0),
-            ("kappa", self.kappa, 0.0, 1.0),
-        ]
-        for name, arr, lo, hi in checks:
-            if arr.size and (arr.min() < lo - _RANGE_SLACK or arr.max() > hi + _RANGE_SLACK):
-                raise NumericalAbortError(
-                    f"trajectory leaves the physical range of {name}: "
-                    f"[{arr.min():.3e}, {arr.max():.3e}] not within [{lo}, {hi}]"
-                )
+    phase_map: ClosedFormFlow = field(repr=False, compare=False)
 
     def state_matrix(self, t: Union[float, np.ndarray]) -> np.ndarray:
         """Density matrix at an arbitrary time, or their stack
         ``np.shape(t) + (4, 4)`` at an array of times, from the closed form."""
-        return self.evaluator(t)
-
-    def __len__(self) -> int:
-        return len(self.times)
+        return self.phase_map(t)
 
 
 def flow_onsite(
@@ -323,15 +298,23 @@ def flow_onsite(
 
     The initial state must be even (the product construction requires it);
     evenness is then preserved along the flow.  Negative times evolve
-    backwards.
+    backwards.  The columns come from the seed alone: d, m and w are held
+    constant and z = z_0 e^{i nu t}; no density matrix is formed.
     """
-    rho0.require_even()
     times = np.asarray(times, dtype=float)
-    evaluator = ClosedFormFlow.from_matrix(params, rho0.matrix)
-    matrices = validated_density_matrices(evaluator(times))
-    return Trajectory(
-        times=times, matrices=matrices, evaluator=evaluator, **_stack_columns(params, matrices)
-    )
+    phase_map = ClosedFormFlow.from_matrix(params, rho0.matrix)
+    seed = observables(params, rho0)
+    for name, lo, hi in (("d", 0.0, 2.0), ("m", -1.0, 1.0), ("w", 0.0, 1.0), ("kappa", 0.0, 1.0)):
+        value = getattr(seed, name)
+        # "not <=" so that NaN fails too
+        if not lo - _RANGE_SLACK <= value <= hi + _RANGE_SLACK:
+            raise NumericalAbortError(
+                f"flow seed leaves the physical range of {name}: "
+                f"{value:.3e} not within [{lo}, {hi}]"
+            )
+    d, m, w = (np.full(times.shape, getattr(seed, name)) for name in ("d", "m", "w"))
+    z = seed.z * np.exp(1j * seed.nu * times)
+    return Trajectory(times=times, phase_map=phase_map, **_columns(params, d, m, w, z))
 
 
 @dataclass(frozen=True)
@@ -341,13 +324,6 @@ class MixtureTrajectory(SiteObservables):
     times: np.ndarray = field(repr=False)
     weights: Tuple[float, ...]
     components: Tuple[Trajectory, ...] = field(repr=False)
-
-    def expectation_series(self, op: np.ndarray) -> np.ndarray:
-        """Mixture expectation of a one-site operator along the flow."""
-        out = np.zeros(len(self.times), dtype=complex)
-        for u, traj in zip(self.weights, self.components):
-            out += u * np.trace(traj.matrices @ op, axis1=-2, axis2=-1)
-        return out
 
 
 def mixture_flow(

@@ -220,7 +220,7 @@ def test_rotor_commuting_diagram(rng):
         rho0 = OnSiteState.random_even(rng)
         traj = flow_onsite(params, rho0, times)
         rotor = rotor_flow(rotor_map(params, rho0), times)
-        via_flow = rotor_map(params, traj.matrices)
+        via_flow = rotor_map(params, traj.state_matrix(times))
         assert np.max(np.abs(via_flow.as_array() - rotor.as_array())) < 1e-6
 
 

@@ -390,6 +390,24 @@ def test_main_rejects_negative_seeds_and_bad_overrides(
     assert not out.exists()
 
 
+def test_main_command_from_config_and_usage_errors_exit_1(tmp_path, capsys):
+    # the command may come from the config alone; usage errors exit 1, as
+    # config errors do (2 is capacity exceeded)
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("command: gap\n")
+    out = tmp_path / "out.csv"
+    assert cli.main(["--config", str(cfg), "--out", str(out)]) == 0
+    assert "command: gap" in (tmp_path / "out.csv.meta.yaml").read_text()
+    assert cli.main(["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: config field 'command': missing (give it in the config or on the CLI)\n"
+    for argv in (["gap", "--seed", "x"], ["banana"], ["gap", "--no-such-flag"]):
+        assert cli.main(argv) == 1
+        assert "mfbcs: error: " in capsys.readouterr().err
+    assert cli.main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: mfbcs")
+
+
 def test_cli_overrides_replace_the_document_values(tmp_path):
     # the flags are checked as the keys are, and win over them
     cfg = tmp_path / "cfg.yaml"

@@ -50,6 +50,40 @@ def _flow_dop853(params, d0, times):
     return np.ascontiguousarray(sol.y.T).view(complex).reshape(len(times), -1, 4, 4).swapaxes(0, 1)
 
 
+def _eigh_flow(params, d0):
+    """The flow of a Hermitian trace-1 seed, or a stack S + (4, 4) of them, by
+    one batched eigh of K = dh(rho_0) + (nu/2) N:
+
+        D_t = e^{i nu t N/2} e^{-itK} D_0 e^{itK} e^{-i nu t N/2}.
+
+    Returns t -> D_t of shape np.shape(t) + S + (4, 4).  It needs no evenness
+    and is kept as the oracle of the phase map.
+    """
+    d0 = np.asarray(d0, dtype=complex)
+    n_total = fock.SITE_OBSERVABLES["d"]
+    density = (d0 @ n_total).trace(axis1=-2, axis2=-1).real
+    nu = np.asarray(model.precession(params, density))[..., None, None]
+    energies, basis = np.linalg.eigh(model.effective_hamiltonian(params, d0) + 0.5 * nu * n_total)
+    freqs = 0.5 * nu * np.diag(n_total).real[:, None] - energies[..., None, :]
+    seed = basis.swapaxes(-1, -2).conj() @ d0 @ basis
+
+    def at(t):
+        t = np.asarray(t, dtype=float)[(...,) + (None,) * freqs.ndim]
+        w = basis * np.exp(1j * t * freqs)
+        return w @ seed @ w.swapaxes(-1, -2).conj()
+
+    return at
+
+
+def _expectation_series(mt, op):
+    """Mixture expectation of a one-site operator along the flow, from the
+    component density matrices."""
+    return sum(
+        u * np.trace(traj.state_matrix(mt.times) @ op, axis1=-2, axis2=-1)
+        for u, traj in zip(mt.weights, mt.components)
+    )
+
+
 def _generator_superop(params, rho):
     """Superoperator Delta of B -> i [dh(rho), B] for one state or a stack."""
     return flow._superop(model.effective_hamiltonian(params, rho))
@@ -98,7 +132,7 @@ def _self_consistency_residual(params, traj):
         for t, col in zip(branch, sol.y.T):
             redone = np.ascontiguousarray(col).view(complex).reshape(4, 4)
             idx = int(np.argmin(np.abs(traj.times - t)))
-            worst = max(worst, float(np.max(np.abs(redone - traj.matrices[idx]))))
+            worst = max(worst, float(np.max(np.abs(redone - traj.state_matrix(traj.times[idx])))))
     return worst
 
 
@@ -135,8 +169,8 @@ def test_flow_gamma_zero_closed_form(rng):
     z0 = rho0.pair_expectation()
     expected = z0 * np.exp(2j * (params.mu - params.lam) * times)
     assert np.max(np.abs(traj.z - expected)) < 1e-10
-    for k in range(len(times)):
-        assert np.max(np.abs(np.diag(traj.matrices[k]) - np.diag(rho0.matrix))) < 1e-10
+    for matrix in traj.state_matrix(times):
+        assert np.max(np.abs(np.diag(matrix) - np.diag(rho0.matrix))) < 1e-10
 
 
 @pytest.mark.parametrize(
@@ -151,17 +185,23 @@ def test_flow_gamma_zero_closed_form(rng):
 def test_flow_columns_are_observables_of_the_stack(rho0):
     params = model.ModelParams(mu=0.1, h=0.05, lam=0.2, gamma=2.0)
     traj = flow_onsite(params, rho0, np.linspace(-2.0, 3.0, 11))
-    assert traj.matrices.shape == (11, 4, 4) and not traj.matrices.flags.writeable
-    for k, mat in enumerate(traj.matrices):
+    matrices = traj.state_matrix(traj.times)
+    assert matrices.shape == (11, 4, 4)
+    seed = observables(params, rho0)
+    for k, mat in enumerate(matrices):
         rec = observables(params, OnSiteState.from_matrix(mat))
-        for name in ("d", "m", "w", "z", "kappa", "theta", "nu"):
-            assert getattr(traj, name)[k] == getattr(rec, name), name
+        # the columns come from the seed, the matrices from the phase map;
+        # the phase map keeps the diagonal bitwise, so d, m, w, nu agree exactly
+        for name in ("d", "m", "w", "nu"):
+            assert getattr(traj, name)[k] == getattr(rec, name) == getattr(seed, name), name
+        assert traj.z[k] == rec.z and traj.theta[k] == rec.theta
+        assert abs(traj.kappa[k] - rec.kappa) <= 1e-16
 
 
 def test_flow_fixed_point_maximally_mixed():
     params = model.ModelParams(mu=0.5, h=0.1, lam=0.3, gamma=1.8)
     traj = flow_onsite(params, OnSiteState.maximally_mixed(), [0.0, 1.0, 5.0])
-    for matrix in traj.matrices:
+    for matrix in traj.state_matrix(traj.times):
         assert np.max(np.abs(matrix - np.eye(4) / 4.0)) < 1e-12
 
 
@@ -194,7 +234,7 @@ def test_flow_preserves_evenness(rng):
     params = model.ModelParams.random(rng)
     rho0 = OnSiteState.random_even(rng)
     traj = flow_onsite(params, rho0, np.linspace(0.0, 5.0, 6))
-    for matrix in traj.matrices:
+    for matrix in traj.state_matrix(traj.times):
         assert parity_commutator_norm(matrix) < 1e-8
 
 
@@ -245,9 +285,11 @@ def test_closed_form_seed_validation_and_shapes(rng):
         ClosedFormFlow.from_matrix(params, 2.0 * rho0.matrix)
     with pytest.raises(ValueError, match="Hermitian"):
         ClosedFormFlow.from_matrix(params, rho0.matrix + 0.1j * np.triu(np.ones((4, 4)), 1))
+    with pytest.raises(ValueError, match="even"):
+        ClosedFormFlow.from_matrix(params, rho0.matrix + _odd_direction())
     traj = flow_onsite(params, rho0, [0.0, 0.7])
     assert traj.state_matrix(0.7).shape == (4, 4)
-    assert np.max(np.abs(traj.state_matrix(0.7) - traj.matrices[1])) < 1e-14
+    assert np.max(np.abs(traj.state_matrix(0.7) - traj.state_matrix(traj.times)[1])) < 1e-14
     assert np.max(np.abs(traj.state_matrix(0.0) - rho0.matrix)) < 1e-14
 
 
@@ -274,10 +316,14 @@ def test_stacked_closed_form_matches_per_seed_flows(rng, shape):
 def test_stacked_closed_form_names_the_bad_seed(rng):
     params = model.ModelParams.random(rng)
     seeds = np.array([OnSiteState.random_even(rng).matrix for _ in range(6)])
-    for k, bad in ((4, 2.0 * seeds[4]), (1, seeds[1] + 0.1j * np.triu(np.ones((4, 4)), 1))):
+    for k, bad in (
+        (4, 2.0 * seeds[4]),
+        (1, seeds[1] + 0.1j * np.triu(np.ones((4, 4)), 1)),
+        (3, seeds[3] + _odd_direction()),
+    ):
         broken = seeds.copy()
         broken[k] = bad
-        with pytest.raises(ValueError, match=f"at index {k}: .*Hermitian trace-1"):
+        with pytest.raises(ValueError, match=f"at index {k}: .*even Hermitian trace-1"):
             ClosedFormFlow.from_matrix(params, broken)
         # a stack of shape (2, 3) names the flat index, as the state checks do
         with pytest.raises(ValueError, match=f"at index {k}: "):
@@ -286,6 +332,119 @@ def test_stacked_closed_form_names_the_bad_seed(rng):
         ClosedFormFlow.from_matrix(params, np.full((4, 4), np.nan))
     with pytest.raises(ValueError, match="4x4"):
         ClosedFormFlow.from_matrix(params, np.eye(3))
+
+
+def _odd_direction():
+    """A Hermitian traceless matrix coupling the vacuum to the up state: odd."""
+    odd = np.zeros((4, 4), dtype=complex)
+    odd[0, 1] = odd[1, 0] = 0.1
+    return odd
+
+
+def test_phase_map_matches_eigh_flow():
+    rng = np.random.default_rng(27)
+    basis = classical.even_traceless_basis()
+    worst = worst_rel = 0.0
+    for _ in range(400):
+        params = model.ModelParams.random(rng)
+        seed = OnSiteState.random_even(rng).matrix
+        times = rng.uniform(-20.0, 20.0, 50)
+        got = ClosedFormFlow.from_matrix(params, seed)(times)
+        worst = max(worst, float(np.max(np.abs(got - _eigh_flow(params, seed)(times)))))
+        # an even seed outside the state cone, as the Liouville displacements
+        # make: the (up-dn, up-dn) entry goes below 0
+        shifted = seed + 1.5 * basis[0] + rng.normal() * basis[rng.integers(3, 7)]
+        assert np.linalg.eigvalsh(shifted).min() < 0
+        ref = _eigh_flow(params, shifted)(times)
+        got = ClosedFormFlow.from_matrix(params, shifted)(times)
+        worst_rel = max(worst_rel, float(np.max(np.abs(got - ref)) / np.max(np.abs(ref))))
+    assert worst <= 1e-13
+    assert worst_rel <= 1e-12
+
+
+def test_columns_are_built_without_a_stack(monkeypatch, rng):
+    def no_stack(*_args):
+        raise AssertionError("a column was read from a stack of density matrices")
+
+    monkeypatch.setattr(ClosedFormFlow, "__call__", no_stack)
+    params = model.ModelParams.random(rng)
+    mix = ProductMixture.from_components(
+        [(0.4, OnSiteState.random_even(rng)), (0.6, OnSiteState.random_even(rng))]
+    )
+    times = np.linspace(-1.0, 4.0, 9)
+    for result in (flow_onsite(params, mix.states[0], times), mixture_flow(params, mix, times)):
+        for name in ("d", "m", "w", "z", "kappa", "theta", "nu"):
+            assert np.shape(getattr(result, name)) == times.shape, name
+
+
+# --- Symmetries of the flow -------------------------------------------------
+# On the phase map each identity holds by the form of V_t; on the Taylor
+# oracle, which integrates dD/dt = -i[dh(D), D] from the seed, it tests the
+# recurrence and the generator.
+
+_PARTICLE_HOLE = np.array(
+    [[0, 0, 0, -1], [0, 0, -1, 0], [0, 1, 0, 0], [1, 0, 0, 0]], dtype=complex
+)
+_SPIN_FLIP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, -1]], dtype=complex)
+_SYMMETRY_TIMES = np.linspace(-5.0, 5.0, 20)
+
+
+def _flows(path, params, seeds):
+    """(K, T, 4, 4) flows of K seeds on the symmetry grid, by one of the two paths."""
+    if path == "taylor":
+        return flow_ode(params, seeds, _SYMMETRY_TIMES).value
+    return np.array(
+        [ClosedFormFlow.from_matrix(p, s)(_SYMMETRY_TIMES) for p, s in zip(params, seeds)]
+    )
+
+
+def _symmetry_draws(seed):
+    rng = np.random.default_rng(seed)
+    params = [model.ModelParams.random(rng) for _ in range(100)]
+    seeds = np.array([OnSiteState.random_even(rng).matrix for _ in range(100)])
+    return rng, params, seeds
+
+
+def _conjugated(u, d):
+    """u^dagger d u on the last two axes."""
+    return u.conj().swapaxes(-1, -2) @ d @ u
+
+
+@pytest.mark.parametrize("path", ["phase-map", "taylor"])
+def test_flow_particle_hole_symmetry(path):
+    # U maps the flow at (mu, h, lam, gamma) to the flow at (2 lam - mu, -h,
+    # lam, gamma), and nu to -nu
+    _, params, seeds = _symmetry_draws(30)
+    images = [
+        model.ModelParams(mu=2 * p.lam - p.mu, h=-p.h, lam=p.lam, gamma=p.gamma) for p in params
+    ]
+    mapped = _flows(path, images, _conjugated(_PARTICLE_HOLE, seeds))
+    flows = _flows(path, params, seeds)
+    assert np.max(np.abs(mapped - _conjugated(_PARTICLE_HOLE, flows))) <= 1e-13
+    for p, q, seed in zip(params, images, seeds):
+        image = OnSiteState.from_matrix(_conjugated(_PARTICLE_HOLE, seed))
+        nu = observables(p, OnSiteState.from_matrix(seed)).nu
+        assert abs(observables(q, image).nu + nu) <= 1e-14
+
+
+@pytest.mark.parametrize("path", ["phase-map", "taylor"])
+def test_flow_spin_flip_symmetry(path):
+    # S swaps up and down (the pair picks up a sign) and maps h to -h
+    _, params, seeds = _symmetry_draws(31)
+    images = [model.ModelParams(mu=p.mu, h=-p.h, lam=p.lam, gamma=p.gamma) for p in params]
+    mapped = _flows(path, images, _conjugated(_SPIN_FLIP, seeds))
+    assert np.max(np.abs(mapped - _conjugated(_SPIN_FLIP, _flows(path, params, seeds)))) <= 1e-13
+
+
+@pytest.mark.parametrize("path", ["phase-map", "taylor"])
+def test_flow_gauge_symmetry(path):
+    # G = e^{i phi N} commutes with the flow at the same parameters
+    rng, params, seeds = _symmetry_draws(32)
+    gauges = np.exp(1j * rng.uniform(-np.pi, np.pi, 100)[:, None] * np.array([0, 1, 1, 2]))
+    gauges = gauges[:, :, None] * np.eye(4)
+    mapped = _flows(path, params, _conjugated(gauges, seeds))
+    flows = _flows(path, params, seeds)
+    assert np.max(np.abs(mapped - _conjugated(gauges[:, None], flows))) <= 1e-13
 
 
 @given(seed=st.integers(min_value=0, max_value=10_000))
@@ -331,9 +490,9 @@ def test_mixture_expectation_series_linearity(rng):
     mt = mixture_flow(params, mix, times)
     manual_d = 0.25 * mt.components[0].d + 0.75 * mt.components[1].d
     assert np.array_equal(mt.d, manual_d)
-    series = mt.expectation_series((fock.N_UP + fock.N_DN).astype(complex))
+    series = _expectation_series(mt, (fock.N_UP + fock.N_DN).astype(complex))
     assert np.array_equal(series.real, mt.d)
-    z_series = mt.expectation_series(fock.PAIR)
+    z_series = _expectation_series(mt, fock.PAIR)
     assert np.array_equal(z_series, mt.z)
 
 
@@ -432,7 +591,7 @@ def test_dyson_flow_drive_vs_ode(rng):
     assert np.max(np.abs(res.operator - ref)) < 1e-10
     # pairing with the evolved density matrix reproduces the flow expectation
     heis = np.trace(rho0.matrix @ res.operator)
-    schro = np.trace(traj.matrices[1] @ a)
+    schro = np.trace(traj.state_matrix(t) @ a)
     assert abs(heis - schro) < 1e-10
 
 
