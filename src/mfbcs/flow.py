@@ -52,12 +52,7 @@ import numpy as np
 from . import fock, model
 from .errors import NumericalAbortError, TruncationError
 from .states import EVENNESS_TOL, HERMITICITY_TOL, TRACE_TOL, OnSiteState, ProductMixture
-from .states import _where
-
-_N_TOTAL = fock.SITE_OBSERVABLES["d"]
-_PARITY = np.diag(fock.PARITY_1).real
-#: The entries that couple the even (0, up-dn) and odd (up, dn) sectors.
-_ODD_ENTRIES = _PARITY[:, None] != _PARITY[None, :]
+from .states import _where, parity_commutator_norm
 
 
 @dataclass(frozen=True)
@@ -129,13 +124,13 @@ class ClosedFormFlow:
         # "<=" so that a NaN entry fails too
         asymmetry = abs(d0 - d0.swapaxes(-1, -2).conj()).max(axis=(-2, -1))
         trace_gap = abs(d0.trace(axis1=-2, axis2=-1) - 1.0)
-        oddness = 2.0 * abs(d0[..., _ODD_ENTRIES]).max(axis=-1)
+        oddness = parity_commutator_norm(d0)
         good = (asymmetry <= HERMITICITY_TOL) & (trace_gap <= TRACE_TOL) & (oddness <= EVENNESS_TOL)
         if not good.all():
             raise ValueError(
                 f"{_where(~good)}the closed-form flow needs an even Hermitian trace-1 seed"
             )
-        density = (d0 @ _N_TOTAL).trace(axis1=-2, axis2=-1).real
+        density = (d0 @ fock.SITE_OBSERVABLES["d"]).trace(axis1=-2, axis2=-1).real
         r = np.zeros(d0.shape[:-1])
         r[..., 1], r[..., 2], r[..., 3] = params.h, -params.h, model.precession(params, density)
         rates = r[..., :, None] - r[..., None, :]

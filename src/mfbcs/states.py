@@ -10,7 +10,7 @@ layer; evenness here means the two off-diagonal blocks between the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -22,10 +22,10 @@ TRACE_TOL = 1e-10
 EVENNESS_TOL = 1e-10
 
 
-def parity_commutator_norm(matrix: np.ndarray) -> float:
-    """Max-norm of [matrix, parity]; zero iff the matrix is even."""
+def parity_commutator_norm(matrix: np.ndarray) -> Union[float, np.ndarray]:
+    """Max-norm of [matrix, parity], one per matrix of a stack (..., 4, 4); zero iff even."""
     p = fock.PARITY_1
-    return float(np.max(np.abs(matrix @ p - p @ matrix)))
+    return np.abs(matrix @ p - p @ matrix).max(axis=(-2, -1))
 
 
 def validated_density_matrices(matrices: np.ndarray) -> np.ndarray:
@@ -153,7 +153,7 @@ class OnSiteState:
 
     @property
     def is_even(self) -> bool:
-        return parity_commutator_norm(self.matrix) <= EVENNESS_TOL
+        return bool(parity_commutator_norm(self.matrix) <= EVENNESS_TOL)
 
     def require_even(self) -> None:
         dev = parity_commutator_norm(self.matrix)
