@@ -12,8 +12,9 @@ is an operator-valued gradient centered so that rho(Df(rho)) = 0, and
 is a Poisson bracket on polynomial observables.  The mean-field flow is
 Hamiltonian for this bracket with the quadratic energy function
 h(rho) = rho(h0) - gamma |rho(a_dn a_up)|**2; ``liouville_residuals``
-measures how well d/dt f(flow) matches {h, f(flow)} numerically, over a
-whole time grid from one stacked closed-form flow.
+measures how well d/dt f(flow) matches {h, f(flow)} over a whole time grid,
+both sides exact: the flow is the closed-form phase map, whose tangent in
+the seed is known in closed form.
 
 Everything here works on stacks: the operators of an observable are one
 read-only (n, 4, 4) array, ``arguments`` maps a state or a stack (..., 4, 4)
@@ -404,10 +405,33 @@ def even_traceless_basis() -> Tuple[np.ndarray, ...]:
 
 
 _EVEN_BASIS = np.array(even_traceless_basis())
+#: tr(b N) of each basis direction b: how far it moves the density.
+_BASIS_DENSITY = np.einsum("kij,ji->k", _EVEN_BASIS, fock.SITE_OBSERVABLES["d"]).real
+#: Projector on |up-dn>, the one level whose phase rate nu moves with the seed.
+_PAIR_LEVEL = np.diag([0.0, 0.0, 0.0, 1.0]).astype(complex)
 
 
-#: Smallest accepted finite-difference step of the Liouville residuals.
-FD_STEP_FLOOR = 1e-11
+def _flow_tangent(
+    params: model.ModelParams, flow: ClosedFormFlow, t: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The phase map Phi_t(rho0) at times t, (T, 4, 4), and its derivative in
+    the seed along every direction b of the even traceless basis, (T, 7, 4, 4).
+
+    Phi_t(rho) = V_t rho V_t^dagger with V_t = diag(1, e^{iht}, e^{-iht},
+    e^{i nu t}), and nu = 2(mu - lam) + gamma (1 - tr(rho N)) moves with the
+    seed by dnu = -gamma tr(b N), so
+
+        DPhi_t(rho0)[b] = V_t b V_t^dagger + i t dnu [E, Phi_t(rho0)],
+
+    with E the projector on |up-dn>.
+    """
+    states = flow(t)
+    dnu = -params.gamma * _BASIS_DENSITY
+    rotated = _EVEN_BASIS * np.exp(1j * t[:, None, None, None] * flow.rates)
+    drift = 1j * t[:, None, None, None] * dnu[:, None, None] * (
+        _PAIR_LEVEL @ states - states @ _PAIR_LEVEL
+    )[:, None]
+    return states, rotated + drift
 
 
 @dataclass(frozen=True)
@@ -417,7 +441,6 @@ class LiouvilleResult:
     lhs: Union[float, np.ndarray]  # time derivative of f along the flow (real part)
     rhs: Union[float, np.ndarray]  # Poisson bracket {h, V_t f} at the initial state
     residual: Union[float, np.ndarray]
-    fd_error_estimate: Union[float, np.ndarray]
 
 
 def liouville_residuals(
@@ -425,76 +448,52 @@ def liouville_residuals(
     fs: Dict[str, PhaseFunction],
     rho0: OnSiteState,
     times: Union[float, np.ndarray],
-    fd_step: float = 1e-4,
 ) -> Dict[str, LiouvilleResult]:
     """Liouville residuals for several observables at one state and many times.
 
     For each f and each t of ``times`` (a float or an array) this measures
-    |d/dt f(flow(t)) - {h, V_t f}(rho0)| with both sides numerical.  The
-    time derivative uses a Richardson-refined central difference of the
-    flow at t -+ h and t -+ h/2.  The bracket side needs the convex
-    derivative of the evolved observable V_t f as a function on the state
-    space; it is assembled from directional finite differences along the
-    seven-direction even traceless basis, each direction evaluated by the
-    closed-form flow of the displaced initial matrix (which may leave the
-    state cone; the closed form does not mind).
+    |d/dt f(Phi_t) - {h, V_t f}(rho0)|, with Phi_t the closed-form flow and
+    V_t f = f o Phi_t, both sides exact.  The time derivative is
+    tr(dPhi_t/dt Df(Phi_t)) with dPhi_t/dt = -i [dh(Phi_t), Phi_t] from the
+    model's generator.  The bracket side needs the convex derivative of V_t f
+    at rho0; its coefficients on the seven-direction even traceless basis
+    are tr(DPhi_t(rho0)[b] Df(Phi_t)), from the exact tangent of the phase
+    map (:func:`_flow_tangent`), and it is centred and bracketed with
+    Dh(rho0).
 
-    rho0 and its 28 displaced seeds are one stacked :class:`ClosedFormFlow`,
-    evaluated at t, t -+ h and t -+ h/2 for TIME_BLOCK times at a time
-    (``dynamics.TIME_BLOCK``), so memory does not grow with the grid; each
-    observable is evaluated once per block on the whole stack.  The fields
-    of each result have the shape of ``times``.
-
-    ``fd_step`` must stay at least ``FD_STEP_FLOOR``, otherwise the
-    difference quotient is dominated by rounding; the returned estimate
-    accumulates the observed Richardson corrections.
+    The times are taken TIME_BLOCK at a time (``dynamics.TIME_BLOCK``), so
+    memory does not grow with the grid; each observable is evaluated once
+    per block on the whole stack.  The fields of each result have the shape
+    of ``times``.
     """
-    if fd_step < FD_STEP_FLOOR:
-        raise ValueError(
-            f"fd_step must be >= {FD_STEP_FLOOR:g}; below it the difference "
-            "quotient would be dominated by rounding"
-        )
     rho0.require_even()
     times = np.asarray(times, dtype=float)
     flat = times.ravel()
-    h = fd_step
     d0 = rho0.matrix
-    # seeds: rho0, then d0 + sign * s * b ordered by (basis b, scale s, sign)
-    scales = np.array([h, 0.5 * h])
-    shifts = scales[:, None] * np.array([1.0, -1.0])
-    displaced = d0 + shifts[None, :, :, None, None] * _EVEN_BASIS[:, None, None]
-    seeds = np.concatenate([d0[None], displaced.reshape(-1, 4, 4)])
-    flows = ClosedFormFlow.from_matrix(params, seeds)
-    offsets = (-h, -0.5 * h, 0.5 * h, h)
-
+    flow = ClosedFormFlow.from_matrix(params, d0)
     dh_class = convex_derivative(classical_hamiltonian(params), d0)
-    sides = {name: np.empty((3, flat.size), dtype=complex) for name in fs}
+    sides = {name: np.empty((2, flat.size), dtype=complex) for name in fs}
     for start in range(0, flat.size, dynamics.TIME_BLOCK):
         block = slice(start, start + dynamics.TIME_BLOCK)
-        t = flat[block]
-        # rho0 at t - h, t - h/2, t + h/2, t + h, then the displaced seeds at t
-        around = [flows(t + dt)[:, :1] for dt in offsets]
-        states = np.concatenate(around + [flows(t)[:, 1:]], axis=1)
+        states, tangent = _flow_tangent(params, flow, flat[block])
+        velocity = -1j * model.hermitian_commutator(
+            model.effective_hamiltonian(params, states), states
+        )
         for name, f in fs.items():
-            vals = f(states)
-            d1 = (vals[:, 3] - vals[:, 0]) / (2.0 * h)
-            d2 = (vals[:, 2] - vals[:, 1]) / h
-            pm = vals[:, 4:].reshape(-1, len(_EVEN_BASIS), 2, 2)
-            deriv = (pm[..., 0] - pm[..., 1]) / (2.0 * scales)
-            coeff = (4.0 * deriv[..., 1] - deriv[..., 0]) / 3.0
-            fd_err = (abs(d2 - d1) + abs(deriv[..., 1] - deriv[..., 0]).sum(axis=-1)) / 3.0
-            dvf = np.einsum("bk,kij->bij", coeff, _EVEN_BASIS)
+            df = convex_derivative(f, states)
+            lhs = np.einsum("tij,tji->t", velocity, df)
+            coeff = np.einsum("tkij,tji->tk", tangent, df)
+            dvf = np.einsum("tk,kij->tij", coeff, _EVEN_BASIS)
             # centering: rho0(D V_t f) = 0
-            dvf -= np.einsum("ij,bji->b", d0, dvf)[:, None, None] * _EYE4
-            rhs = np.einsum("ij,bji->b", d0, 1j * (dh_class @ dvf - dvf @ dh_class))
-            sides[name][:, block] = ((4.0 * d2 - d1) / 3.0, rhs, fd_err)
+            dvf -= np.einsum("ij,tji->t", d0, dvf)[:, None, None] * _EYE4
+            rhs = np.einsum("ij,tji->t", d0, 1j * (dh_class @ dvf - dvf @ dh_class))
+            sides[name][:, block] = (lhs, rhs)
     out: Dict[str, LiouvilleResult] = {}
-    for name, (lhs, rhs, fd_err) in sides.items():
+    for name, (lhs, rhs) in sides.items():
         out[name] = LiouvilleResult(
             lhs=lhs.real.reshape(times.shape)[()],
             rhs=rhs.real.reshape(times.shape)[()],
             residual=np.abs(lhs - rhs).reshape(times.shape)[()],
-            fd_error_estimate=fd_err.real.reshape(times.shape)[()],
         )
     return out
 

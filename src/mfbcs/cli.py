@@ -42,7 +42,7 @@ _COMMANDS = ("flow", "simulate", "converge", "gap", "scan", "liouville", "rotor"
 
 _TOP_KEYS = {
     "command", "mu", "h", "lambda", "gamma", "beta", "sites", "times",
-    "initial", "mixture", "scan", "states", "fd_step", "out", "seed",
+    "initial", "mixture", "scan", "states", "out", "seed",
     "threads",
 }
 _TIME_KEYS = {"start", "stop", "step"}
@@ -89,7 +89,6 @@ class RunConfig:
     mixture: Tuple[Tuple[float, StateSpec], ...] = ()
     scan: Tuple[Tuple[str, Tuple[float, ...]], ...] = ()
     n_states: int = 5
-    fd_step: float = 1e-4
     out: Optional[str] = None
     seed: int = 0
     threads: int = 1
@@ -303,9 +302,6 @@ def parse_config(
     n_states = _as_int(raw.get("states", 5), "states")
     if n_states < 1:
         raise _fail("states", "must be >= 1")
-    fd_step = _as_float(raw.get("fd_step", 1e-4), "fd_step")
-    if fd_step < classical.FD_STEP_FLOOR:
-        raise _fail("fd_step", f"must be >= {classical.FD_STEP_FLOOR:g}")
 
     seed = _as_seed(raw.get("seed", 0), "seed")
     threads = _as_int(raw.get("threads", 1), "threads")
@@ -333,7 +329,6 @@ def parse_config(
         mixture=tuple(mixture),
         scan=tuple(scan),
         n_states=n_states,
-        fd_step=fd_step,
         out=out,
         seed=seed,
         threads=threads,
@@ -538,13 +533,11 @@ def _run_liouville(config: RunConfig) -> ResultTable:
     suite = classical.polynomial_suite()
     names = sorted(suite)
     times = np.array(config.times)
-    fields = ("lhs", "rhs", "residual", "fd_error_estimate")
+    fields = ("lhs", "rhs", "residual")
     blocks = []
     for k in range(config.n_states):
         rho0 = OnSiteState.random_even(rng)
-        results = classical.liouville_residuals(
-            config.params, suite, rho0, times, config.fd_step
-        )
+        results = classical.liouville_residuals(config.params, suite, rho0, times)
         # rows by time, then by observable name
         blocks.append(
             [np.full(len(times) * len(names), k), np.repeat(times, len(names)),
@@ -552,9 +545,9 @@ def _run_liouville(config: RunConfig) -> ResultTable:
             + [np.stack([getattr(results[n], f) for n in names], axis=1).ravel() for f in fields]
         )
     return ResultTable(
-        ["state", "t", "observable", "lhs", "rhs", "residual", "fd_error"],
+        ["state", "t", "observable", "lhs", "rhs", "residual"],
         [np.concatenate(col) for col in zip(*blocks)],
-        {"fd_step": config.fd_step},
+        {},
     )
 
 

@@ -41,6 +41,10 @@ BEAT_PEAK_TO_TROUGH = 0.125
 #: site series and the dense spectral oracle (N = 2..4, t = 1).
 CLOSED_FORM_TOL = 1e-12
 
+#: Largest residual liouville-residuals allows, far inside its 1e-5
+#: threshold: both sides are exact, from the tangent of the phase map.
+LIOUVILLE_EXACT_TOL = 1e-12
+
 #: Largest relative distance pressure-identity-trend allows between the
 #: pressure from the sector spectrum and from a full eigvalsh (N = 1..4).
 SECTOR_PRESSURE_TOL = 1e-12
@@ -341,8 +345,11 @@ def check_liouville(seed: int = 0) -> CheckResult:
             rho0 = OnSiteState.random_even(rng)
             results = classical.liouville_residuals(params, suite, rho0, times)
             worst = max(worst, *(float(r.residual.max()) for r in results.values()))
-        detail = "6 observables x 20 states x 3 times, fd_step 1e-4 + Richardson"
-        return worst < 1e-5, worst, 1e-5, detail
+        detail = (
+            "6 observables x 20 states x 3 times, exact tangent "
+            f"(limit {LIOUVILLE_EXACT_TOL:.0e})"
+        )
+        return worst <= LIOUVILLE_EXACT_TOL, worst, 1e-5, detail
 
     return _timed(body, "liouville-residuals")
 

@@ -1,9 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from mfbcs import classical, fock, model
+from mfbcs import classical, dynamics, fock, model, verification
 from mfbcs.classical import (
     CylindricalFunction,
     PolynomialFunction,
@@ -20,7 +21,7 @@ from mfbcs.classical import (
     rotor_flow,
     rotor_map,
 )
-from mfbcs.flow import flow_onsite, observables
+from mfbcs.flow import ClosedFormFlow, flow_onsite, observables
 from mfbcs.states import OnSiteState
 
 
@@ -173,13 +174,6 @@ def test_liouville_pair_quadrature_at_zero(rng):
     res = liouville_residuals(params, {"f": polynomial_suite()["pair_re"]}, rho0, 0.0)["f"]
     assert abs(res.lhs - (-rec.nu * rec.z.imag)) < 1e-6
     assert res.residual < 1e-6
-
-
-def test_liouville_fd_step_guard(rng):
-    params = model.ModelParams.random(rng)
-    rho0 = OnSiteState.random_even(rng)
-    with pytest.raises(ValueError):
-        liouville_residuals(params, {"f": polynomial_suite()["density"]}, rho0, 0.5, fd_step=1e-13)
 
 
 def test_rotor_map_examples():
@@ -427,8 +421,6 @@ def test_polynomial_gradient_against_monomial_rule(rng):
 
 
 def test_liouville_grid_matches_scalar_times(rng):
-    from mfbcs import dynamics
-
     params = model.ModelParams.random(rng)
     rho0 = OnSiteState.random_even(rng)
     suite = polynomial_suite()
@@ -441,10 +433,106 @@ def test_liouville_grid_matches_scalar_times(rng):
             assert isinstance(r.lhs, float) and isinstance(r.residual, float)
             g = grid[name]
             assert g.lhs.shape == g.rhs.shape == g.residual.shape == times.shape
-            for field in ("lhs", "rhs", "residual", "fd_error_estimate"):
+            for field in ("lhs", "rhs", "residual"):
                 assert abs(getattr(g, field)[k] - getattr(r, field)) <= 1e-12
-    assert max(float(r.residual.max()) for r in grid.values()) < 1e-6
+    assert max(float(r.residual.max()) for r in grid.values()) <= 1e-12
+    # the exact sides against the finite-difference oracle on the same grid
+    oracle = _fd_liouville(params, suite, rho0, times)
+    for name, (lhs, rhs) in oracle.items():
+        assert np.max(np.abs(grid[name].lhs - lhs)) <= 1e-9, name
+        assert np.max(np.abs(grid[name].rhs - rhs)) <= 1e-9, name
     # a 2-d grid keeps its shape
     two_d = liouville_residuals(params, suite, rho0, times[:6].reshape(2, 3))
     assert two_d["density"].lhs.shape == (2, 3)
     assert np.max(np.abs(two_d["density"].lhs - grid["density"].lhs[:6].reshape(2, 3))) <= 1e-12
+
+
+def _fd_liouville(params, fs, rho0, times, step=1e-4):
+    """Both Liouville sides by finite differences of the closed-form flow.
+
+    The oracle of the exact tangent: the time derivative is a central
+    difference of the flow at t -+ h and t -+ h/2 with one Richardson step,
+    and the convex derivative of V_t f at rho0 is assembled from Richardson
+    central differences along the even traceless basis, each direction the
+    closed-form flow of the displaced seed (which may leave the state cone).
+    Returns {name: (lhs, rhs)}, real arrays over the flattened times.
+    """
+    basis = np.array(even_traceless_basis())
+    eye = np.eye(4)
+    t = np.asarray(times, dtype=float).ravel()
+    d0 = rho0.matrix
+    # seeds: rho0, then d0 + sign * s * b ordered by (basis b, scale s, sign)
+    scales = np.array([step, 0.5 * step])
+    shifts = scales[:, None] * np.array([1.0, -1.0])
+    displaced = d0 + shifts[None, :, :, None, None] * basis[:, None, None]
+    seeds = np.concatenate([d0[None], displaced.reshape(-1, 4, 4)])
+    flows = ClosedFormFlow.from_matrix(params, seeds)
+    # rho0 at t - h, t - h/2, t + h/2, t + h, then the displaced seeds at t
+    around = [flows(t + dt)[:, :1] for dt in (-step, -0.5 * step, 0.5 * step, step)]
+    states = np.concatenate(around + [flows(t)[:, 1:]], axis=1)
+    dh_class = convex_derivative(classical_hamiltonian(params), d0)
+    out = {}
+    for name, f in fs.items():
+        vals = f(states)
+        d1 = (vals[:, 3] - vals[:, 0]) / (2.0 * step)
+        d2 = (vals[:, 2] - vals[:, 1]) / step
+        pm = vals[:, 4:].reshape(-1, len(basis), 2, 2)
+        deriv = (pm[..., 0] - pm[..., 1]) / (2.0 * scales)
+        coeff = (4.0 * deriv[..., 1] - deriv[..., 0]) / 3.0
+        dvf = np.einsum("tk,kij->tij", coeff, basis)
+        dvf -= np.einsum("ij,tji->t", d0, dvf)[:, None, None] * eye
+        rhs = np.einsum("ij,tji->t", d0, 1j * (dh_class @ dvf - dvf @ dh_class))
+        out[name] = (((4.0 * d2 - d1) / 3.0).real, rhs.real)
+    return out
+
+
+def test_liouville_exact_sides_match_finite_differences():
+    # the draws of the liouville-residuals verify row at seed 0
+    rng = np.random.default_rng(8)
+    suite = polynomial_suite()
+    times = np.array([0.0, 0.5, 1.0])
+    for _ in range(20):
+        params = model.ModelParams.random(rng)
+        rho0 = OnSiteState.random_even(rng)
+        exact = liouville_residuals(params, suite, rho0, times)
+        for name, (lhs, rhs) in _fd_liouville(params, suite, rho0, times).items():
+            assert np.max(np.abs(exact[name].lhs - lhs)) <= 1e-9, name
+            assert np.max(np.abs(exact[name].rhs - rhs)) <= 1e-9, name
+            assert np.max(exact[name].residual) <= 1e-12, name
+
+
+def test_flow_tangent_matches_central_differences():
+    # D Phi_t(rho0)[b] against (Phi_t(rho0 + s b) - Phi_t(rho0 - s b)) / 2s, which
+    # converges to it as s**2; the dnu term carries the seed's pull on nu
+    rng = np.random.default_rng(28)
+    basis = np.array(even_traceless_basis())
+    signs = np.array([1.0, -1.0])[:, None, None, None]
+    times = np.linspace(-3.0, 3.0, 13)
+    errors = {1e-4: 0.0, 1e-5: 0.0}
+    for _ in range(20):
+        params = model.ModelParams.random(rng)
+        d0 = OnSiteState.random_even(rng).matrix
+        flow = ClosedFormFlow.from_matrix(params, d0)
+        states, tangent = classical._flow_tangent(params, flow, times)
+        assert np.array_equal(states, flow(times))
+        assert tangent.shape == (len(times), len(basis), 4, 4)
+        for s in errors:
+            ends = ClosedFormFlow.from_matrix(params, d0 + s * signs * basis)(times)
+            central = (ends[:, 0] - ends[:, 1]) / (2.0 * s)
+            errors[s] = max(errors[s], float(np.max(np.abs(central - tangent))))
+    # 1.5e-7 and 1.5e-9 here: a tenfold smaller step, a hundredfold smaller error
+    assert errors[1e-4] <= 1e-6
+    assert errors[1e-5] <= 0.02 * errors[1e-4]
+
+
+def test_liouville_row_fails_above_the_exact_limit(monkeypatch):
+    # a residual inside the 1e-5 threshold but above 1e-12 no longer passes
+    exact = classical.liouville_residuals
+
+    def inflated(*args):
+        return {n: replace(r, residual=r.residual + 1e-9) for n, r in exact(*args).items()}
+
+    monkeypatch.setattr(classical, "liouville_residuals", inflated)
+    row = verification.check_liouville(0)
+    assert not row.passed and row.threshold == 1e-5
+    assert 1e-9 <= row.max_violation < 1e-5

@@ -285,16 +285,15 @@ def test_liouville_table_rows_follow_state_time_observable(tmp_path):
         "times: {start: -0.5, stop: 0.5, step: 0.5}\n"
     )
     table = run(replace(cfg, out=str(tmp_path / "l.csv")))
-    assert table.header == ["state", "t", "observable", "lhs", "rhs", "residual", "fd_error"]
+    assert table.header == ["state", "t", "observable", "lhs", "rhs", "residual"]
     rng = np.random.default_rng(7)
     suite = classical.polynomial_suite()
     rows = []
     for k in range(2):
         rho0 = OnSiteState.random_even(rng)
         for t in cfg.times:
-            res = classical.liouville_residuals(cfg.params, suite, rho0, t, cfg.fd_step)
-            rows += [(k, t, n, res[n].lhs, res[n].rhs, res[n].residual,
-                      res[n].fd_error_estimate) for n in sorted(res)]
+            res = classical.liouville_residuals(cfg.params, suite, rho0, t)
+            rows += [(k, t, n, res[n].lhs, res[n].rhs, res[n].residual) for n in sorted(res)]
     expected = list(zip(*rows))
     for col, ref in zip(table.columns[:3], expected[:3]):
         assert col.tolist() == list(ref)
@@ -302,18 +301,17 @@ def test_liouville_table_rows_follow_state_time_observable(tmp_path):
         assert np.max(np.abs(col - np.array(ref))) <= 1e-12
 
 
-@pytest.mark.parametrize("value", ["1.0e-12", "0.0", "-1.0e-4"])
-def test_main_rejects_fd_step_below_floor(tmp_path, capsys, value):
+def test_main_rejects_removed_fd_step_key(tmp_path, capsys):
+    # both Liouville sides are exact; the finite-difference step is an unknown key
     cfg = tmp_path / "cfg.yaml"
-    cfg.write_text(f"gamma: 1.0\nfd_step: {value}\n")
+    cfg.write_text("gamma: 1.0\nfd_step: 1.0e-4\n")
     out = tmp_path / "out.csv"
     assert cli.main(["liouville", "--config", str(cfg), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: config field 'fd_step': must be >= 1e-11")
+    assert err.startswith("error: config field 'fd_step': unknown key")
     assert "Traceback" not in err
     assert not out.exists()
-    floor = parse_config("command: liouville\nfd_step: 1.0e-11\n")
-    assert floor.fd_step == classical.FD_STEP_FLOOR
+    assert not hasattr(parse_config("command: liouville\n"), "fd_step")
 
 
 def test_main_exit_codes(tmp_path, monkeypatch, capsys):
@@ -530,7 +528,6 @@ def test_main_output_error_exit_code(tmp_path, capsys):
         ("simulate", "mu: .nan\nsites: [2]\n"),
         ("gap", "gamma: 2.0\nbeta: .inf\n"),
         ("flow", "times: {start: 0.0, stop: .inf, step: 0.1}\n"),
-        ("liouville", "gamma: 1.0\nfd_step: .inf\n"),
         ("scan", "scan: {gamma: [.nan]}\n"),
         (
             "flow",
@@ -541,7 +538,7 @@ def test_main_output_error_exit_code(tmp_path, capsys):
     ],
     ids=[
         "gap-gamma-nan", "gap-mu-nan", "flow-gamma-nan", "simulate-mu-nan",
-        "gap-beta-inf", "flow-stop-inf", "liouville-fd_step-inf", "scan-gamma-nan",
+        "gap-beta-inf", "flow-stop-inf", "scan-gamma-nan",
         "flow-weight-nan", "gap-gamma-int-overflow",
     ],
 )

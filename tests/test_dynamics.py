@@ -455,6 +455,31 @@ def test_product_site_series_matches_pair_sector_expm_at_six_sites(rng):
         assert np.max(np.abs(closed[:, k] - oracle)) <= 1e-12
 
 
+#: Particle-hole conjugation on (0, up, dn, updn); U^dagger rho U swaps empty
+#: and doubly occupied levels, and up and down with a sign.
+PARTICLE_HOLE = np.array(
+    [[0, 0, 0, -1], [0, 0, -1, 0], [0, 1, 0, 0], [1, 0, 0, 0]], dtype=complex
+)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 10**3, 10**9])
+def test_product_site_series_particle_hole_symmetry(n):
+    # U maps H_N(mu, h, lam, gamma) to H_N(2 lam - mu - gamma/N, -h, lam, gamma)
+    # plus a constant, so from U^dagger rho U at the image parameters the site
+    # series is d -> 2 - d, m -> -m, w -> 1 - d + w, z -> -conj(z)
+    rng = np.random.default_rng(n)
+    times = np.linspace(-3.0, 3.0, 7)
+    for _ in range(30):
+        p = model.ModelParams.random(rng, gamma_max=3.0)
+        image = model.ModelParams(mu=2.0 * p.lam - p.mu - p.gamma / n, h=-p.h, lam=p.lam,
+                                  gamma=p.gamma)
+        rho = OnSiteState.random_even(rng)
+        flipped = OnSiteState.from_matrix(PARTICLE_HOLE.conj().T @ rho.matrix @ PARTICLE_HOLE)
+        d, m, w, z = dynamics.product_site_series(n, p, rho, times)
+        mapped = dynamics.product_site_series(n, image, flipped, times)
+        assert np.max(np.abs(mapped - [2.0 - d, -m, 1.0 - d + w, -z.conj()])) <= 4e-15
+
+
 def test_product_site_series_rejects_odd_state():
     odd = OnSiteState.pure([1.0, 1.0, 0.0, 0.0])
     with pytest.raises(ValueError, match="even"):

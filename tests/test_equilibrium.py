@@ -89,6 +89,29 @@ def test_gap_monotone_in_gamma():
     assert all(b >= a for a, b in zip(rs, rs[1:]))
 
 
+def test_gap_solve_particle_hole_symmetry():
+    # U maps the limit problem at (mu, h, lam, gamma) to that at (2 lam - mu,
+    # -h, lam, gamma): the same maximizer, density d -> 2 - d and a sup
+    # pressure shifted by 2 (lam - mu)
+    rng = np.random.default_rng(28)
+    superconducting = 0
+    for _ in range(200):
+        p = model.ModelParams.random(rng, gamma_max=8.0)
+        beta = float(rng.uniform(0.5, 3.0))
+        image = model.ModelParams(mu=2.0 * p.lam - p.mu, h=-p.h, lam=p.lam, gamma=p.gamma)
+        sol, mapped = equilibrium.gap_solve(p, beta), equilibrium.gap_solve(image, beta)
+        if sol.indeterminate or mapped.indeterminate:
+            continue
+        superconducting += sol.superconducting
+        # the same grid maximizer on both sides; the bisected r* may move by ulps
+        assert mapped.superconducting == sol.superconducting
+        assert abs(mapped.r_star - sol.r_star) <= 4e-15
+        assert abs(mapped.density_at_solution - (2.0 - sol.density_at_solution)) <= 4e-15
+        shift = mapped.pressure_value - sol.pressure_value
+        assert abs(shift - 2.0 * (p.lam - p.mu)) <= 4e-15 * max(1.0, abs(sol.pressure_value))
+    assert superconducting >= 50
+
+
 def test_approx_gibbs_diagonal_at_zero_field():
     params = model.ModelParams(mu=0.6, h=0.2, lam=0.3, gamma=1.5)
     state = equilibrium.approx_gibbs_onsite(params, 1.4, 0.0)
