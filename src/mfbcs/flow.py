@@ -38,7 +38,10 @@ condensate density (see :func:`interference_prediction`).
 series for a prescribed drive, applied to the operator by nested quadrature;
 it is the independent cross-check pinning the sign convention of the flow.
 The drive is evaluated in one call on a uniform fine grid, and the coarse
-level of the quadrature error estimate is every other fine node.
+level of the quadrature error estimate is every other fine node.  The
+nested terms are held time-last, one 4x4 operator per node along the last
+axis, and i[dh, .] acts on them from the structure of the decoupled
+operator (:func:`mfbcs.model.decoupled_action`), not by matrix products.
 """
 
 from __future__ import annotations
@@ -191,6 +194,7 @@ def _taylor_solve(
     gamma = np.array([p.gamma for p in params])[:, None, None]
     h0 = np.array([model.onsite_h(p) for p in params])
     pair_dag, pair = gamma * fock.PAIR_DAG, gamma * fock.PAIR
+    p, q = fock.PAIR_ENTRY  # P = |p><q|
     if propagate:
         sup_dag, sup = gamma * _superop(fock.PAIR_DAG), gamma * _superop(fock.PAIR)
     rho = seeds
@@ -206,7 +210,7 @@ def _taylor_solve(
         step = (t - now) / max(n_steps, 1)
         for _ in range(n_steps):
             a[0] = rho
-            c[0] = np.einsum("kij,ji->k", rho, fock.PAIR)
+            c[0] = model.cooper_field(rho)
             h_0 = h0 - (c[0, :, None, None] * pair_dag + np.conj(c[0])[:, None, None] * pair)
             if propagate:
                 tk[0] = prop
@@ -216,9 +220,12 @@ def _taylor_solve(
                 x = h_0 @ a[k]
                 if k:
                     y = np.einsum("jk,jkab->kab", c[1 : k + 1], a[k - 1 :: -1])
-                    x -= pair_dag @ y + pair @ y.swapaxes(-1, -2).conj()
+                    # P+ Y is row p of Y moved to row q, P Y^dagger is column q
+                    # of Y conjugated into row p
+                    x[:, q] -= gamma[:, 0] * y[:, p]
+                    x[:, p] -= gamma[:, 0] * y[:, :, q].conj()
                 a[k + 1] = (-1j * step / (k + 1)) * (x - x.swapaxes(-1, -2).conj())
-                c[k + 1] = np.einsum("kij,ji->k", a[k + 1], fock.PAIR)
+                c[k + 1] = model.cooper_field(a[k + 1])
                 size = float(np.abs(a[k + 1]).max())
                 if propagate:
                     z = tk[k] @ delta_0
@@ -400,29 +407,26 @@ def _superop(dh: np.ndarray) -> np.ndarray:
 
 
 def _cumulative_simpson(y: np.ndarray, step: float) -> np.ndarray:
-    """Cumulative integral along axis 0 of samples y on a uniform grid, from 0.
+    """Cumulative integral along the last axis of samples y on a uniform grid, from 0.
 
     The equal-interval scheme of ``scipy.integrate.cumulative_simpson``: the
     forward three-point rule step/12 (5 f0 + 8 f1 - f2) on even intervals,
     the backward rule step/12 (-f0 + 8 f1 + 5 f2) on odd ones and on the
     last, the trapezoid for two samples.  A negative step integrates
-    backward in time.  The weights are real, so complex samples are
-    integrated as their real and imaginary parts side by side.
+    backward in time.
     """
-    re = y.view(float)
-    if len(y) == 2:
-        pieces = (re[:1] + re[1:]) * (step / 2)
+    if y.shape[-1] == 2:
+        pieces = (y[..., :1] + y[..., 1:]) * (step / 2)
     else:
-        f0, f1, f2 = re[:-2:2], re[1:-1:2], re[2::2]
-        pieces = np.empty_like(re[1:])
-        pieces[:-1:2] = 5 * f0 + 8 * f1 - f2
-        pieces[1::2] = 8 * f1 + 5 * f2 - f0
-        pieces[-1] = 5 * re[-1] + 8 * re[-2] - re[-3]
+        f0, f1, f2 = y[..., :-2:2], y[..., 1:-1:2], y[..., 2::2]
+        pieces = np.empty_like(y[..., 1:])
+        pieces[..., :-1:2] = 5 * f0 + 8 * f1 - f2
+        pieces[..., 1::2] = 8 * f1 + 5 * f2 - f0
+        pieces[..., -1] = 5 * y[..., -1] + 8 * y[..., -2] - y[..., -3]
         pieces *= step / 12
     out = np.empty_like(y)
-    acc = out.view(float)
-    acc[0] = 0.0
-    np.cumsum(pieces, axis=0, out=acc[1:])
+    out[..., 0] = 0.0
+    np.cumsum(pieces, axis=-1, out=out[..., 1:])
     return out
 
 
@@ -439,9 +443,10 @@ def dyson_phillips(
 
     ``drive`` (:data:`DriveFn`) is called once, on the array of nodes of the
     fine grid of ``2 n_nodes`` uniform intervals from 0 to ``t`` (``t`` may
-    be negative).  The series acts on
-    the operator by backward nesting, R_0 = a_op and R_j(v) = int_v^t
-    i[dh(w), R_{j-1}(w)] dw by cumulative Simpson quadrature, and sums the
+    be negative); only the Cooper field of each state enters.  The series
+    acts on the operator by backward nesting, R_0 = a_op and R_j(v) = int_v^t
+    i[dh(w), R_{j-1}(w)] dw by cumulative Simpson quadrature along the time
+    axis, last in the (parts, 4, 4, nodes) layout, and sums the
     terms R_j(0), on that grid and on the coarse grid of every other fine
     node (``n_nodes`` intervals).  The fine sum is returned; the largest
     entry of its difference from the coarse one is the quadrature error
@@ -461,10 +466,9 @@ def dyson_phillips(
     if t == 0.0:
         return DysonResult(operator=a_op.copy(), remainder_bound=0.0, quadrature_error=0.0)
     grid = np.linspace(0.0, t, 2 * n_nodes + 1)
-    dh = model.effective_hamiltonian(
-        params, np.broadcast_to(model.density_matrix(drive(grid)), grid.shape + (4, 4))
-    )
-    m_norm = float(np.ptp(np.linalg.eigvalsh(dh[::2]), axis=-1).max())
+    field = np.broadcast_to(model.cooper_field(drive(grid)), grid.shape)
+    dh = model.decoupled_hamiltonian(params, field[::2])
+    m_norm = float(np.ptp(np.linalg.eigvalsh(dh), axis=-1).max())
     remainder = (m_norm * abs(t)) ** (order + 1) / math.factorial(order + 1)
     if tol is not None and remainder > tol:
         raise TruncationError(
@@ -473,23 +477,23 @@ def dyson_phillips(
         )
 
     # the series is linear in a_op = A + iB and runs on the Hermitian parts
-    # A and B, stacked on axis 1: i[dh, .] keeps every term Hermitian
+    # A and B, stacked on axis 0 with the nodes last: i[dh, .] keeps every
+    # term Hermitian
     parts = np.array([a_op + a_op.conj().T, 1j * (a_op.conj().T - a_op)]) / 2
     parts = parts[: 1 + bool(parts[1].any())]
 
-    def series(gens: np.ndarray, step: float) -> np.ndarray:
+    def series(c: np.ndarray, step: float) -> np.ndarray:
         total = parts
-        r = np.broadcast_to(parts, gens.shape[:1] + parts.shape)
-        gens = gens[:, None]
+        r = np.broadcast_to(parts[..., None], parts.shape + c.shape)
         for _ in range(order):
-            cum = _cumulative_simpson(1j * model.hermitian_commutator(gens, r), step)
-            r = cum[-1] - cum
-            total = total + r[0]
+            cum = _cumulative_simpson(model.decoupled_action(params, c, r), step)
+            r = cum[..., -1:] - cum
+            total = total + r[..., 0]
         return total[0] if len(total) == 1 else total[0] + 1j * total[1]
 
     step = t / (2 * n_nodes)
-    fine = series(dh, step)
-    quad_err = float(np.max(np.abs(fine - series(dh[::2], 2 * step))))
+    fine = series(field, step)
+    quad_err = float(np.max(np.abs(fine - series(field[::2], 2 * step))))
     return DysonResult(operator=fine, remainder_bound=remainder, quadrature_error=quad_err)
 
 

@@ -13,16 +13,19 @@ in d dimensions corresponds to N = (2L+1)**d).
 The N-site builders share per-N pieces made once (``_hamiltonian_terms``):
 the site sums of n_up, n_dn and n_up n_dn, the pair hopping c0+ c0, the
 basis grouped by (N_up, N_dn) and the dense pair-hopping block of each
-sector.  Every term conserves both numbers, so :func:`spectrum`
-diagonalizes H_N one sector block at a time, each block the on-site
-diagonal plus -gamma times the cached hopping block.
+sector, scattered from the stored entries of c0+ c0 in one pass.  Every
+term conserves both numbers, so :func:`spectrum` diagonalizes H_N one
+sector block at a time, each block the on-site diagonal plus -gamma times
+the cached hopping block.
 
 The one-site algebra that the mean-field flow and the equilibrium theory
 share is defined here once: the decoupled operator h0 - gamma (c P+ + cbar P)
-(:func:`decoupled_hamiltonian`), the flow generator at the state's own
-Cooper field (:func:`effective_hamiltonian`), the rotation frequency nu
-of that field (:func:`precession`) and the commutator of two Hermitian
-operators (:func:`hermitian_commutator`).
+(:func:`decoupled_hamiltonian`) and its action R -> i[dh(c), R] on
+time-last stacks (:func:`decoupled_action`), the Cooper field rho(P)
+(:func:`cooper_field`), the flow generator at the state's own Cooper field
+(:func:`effective_hamiltonian`), the rotation frequency nu of that field
+(:func:`precession`) and the commutator of two Hermitian operators
+(:func:`hermitian_commutator`).
 
 The extensivity bound ||H_N|| <= C N ||m|| (:func:`energy_bound_check`)
 is evaluated in closed form for this chain: C = pi**2/3 - 1 and
@@ -126,11 +129,24 @@ def _hamiltonian_terms(n_sites: int) -> _Terms:
     key = counts[0].astype(int) * (n_sites + 1) + counts[1].astype(int)
     order = np.argsort(key, kind="stable")
     order.setflags(write=False)  # the sectors are views of it, shared by every caller
-    sectors = tuple(np.split(order, np.flatnonzero(np.diff(key[order])) + 1))
+    starts = np.flatnonzero(np.diff(key[order])) + 1
+    sectors = tuple(np.split(order, starts))
     hopping = (c0.conj().T @ c0).tocsr()
-    blocks = tuple(hopping[idx][:, idx].toarray() for idx in sectors)
-    for block in blocks:
-        block.setflags(write=False)
+    # scatter every stored entry into its sector's block, all blocks in one buffer
+    sizes = np.diff(starts, prepend=0, append=len(order))
+    sector = np.empty_like(order)
+    sector[order] = np.repeat(np.arange(len(sizes)), sizes)
+    position = np.empty_like(order)
+    position[order] = np.arange(len(order)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    offsets = np.cumsum(sizes**2) - sizes**2
+    entries = hopping.tocoo()
+    block_of = sector[entries.row]
+    buffer = np.zeros(int((sizes**2).sum()), dtype=complex)
+    buffer[offsets[block_of] + position[entries.row] * sizes[block_of] + position[entries.col]] = (
+        entries.data
+    )
+    buffer.setflags(write=False)
+    blocks = tuple(buffer[o : o + n * n].reshape(n, n) for o, n in zip(offsets, sizes))
     return _Terms(counts, hopping, sectors, blocks)
 
 
@@ -188,6 +204,32 @@ def decoupled_hamiltonian(params: ModelParams, c: Union[complex, np.ndarray]) ->
     return onsite_h(params) - params.gamma * (c * fock.PAIR_DAG + np.conj(c) * fock.PAIR)
 
 
+def decoupled_action(params: ModelParams, c: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """i [dh(c), R] for the decoupled operator dh(c) at each of K fields c.
+
+    ``r`` is time-last: operators on its axes (-3, -2) and one node per
+    field on its last axis, shape (..., 4, 4, K); ``c`` has shape (K,).
+    Applied from the structure of dh instead of by matrix products: h0 is
+    diagonal with entries e, so [h0, R] = (e_i - e_j) R_ij, and with
+    P = |p><q| the commutator [P+, R] copies row p of R into row q and
+    subtracts column q from column p; [P, R] does the reverse.
+    """
+    e = np.diag(onsite_h(params)).real
+    out = (1j * (e[:, None] - e[None, :]))[:, :, None] * r
+    p, q = fock.PAIR_ENTRY
+    for f, src, dst in ((1j * params.gamma * c, p, q), (1j * params.gamma * np.conj(c), q, p)):
+        out[..., dst, :, :] -= f * r[..., src, :, :]
+        out[..., :, src, :] += f * r[..., :, dst, :]
+    return out
+
+
+def cooper_field(rho: StateLike) -> Union[complex, np.ndarray]:
+    """rho(P) = Trace(D P) = D_qp with P = a_dn a_up = |p><q|, of one state
+    or a stack (..., 4, 4)."""
+    p, q = fock.PAIR_ENTRY
+    return density_matrix(rho)[..., q, p]
+
+
 def effective_hamiltonian(params: ModelParams, rho: StateLike) -> np.ndarray:
     """State-dependent one-site generator of the mean-field flow.
 
@@ -196,8 +238,7 @@ def effective_hamiltonian(params: ModelParams, rho: StateLike) -> np.ndarray:
     ``rho`` may also be a stack (..., 4, 4) of density matrices; the
     generators then come back stacked the same way.
     """
-    d = density_matrix(rho)
-    return decoupled_hamiltonian(params, np.trace(d @ fock.PAIR, axis1=-2, axis2=-1))
+    return decoupled_hamiltonian(params, cooper_field(rho))
 
 
 def hermitian_commutator(h: np.ndarray, d: np.ndarray) -> np.ndarray:

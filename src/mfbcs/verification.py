@@ -63,7 +63,7 @@ class CheckResult:
         status = "PASS" if self.passed else "FAIL"
         out = (
             f"[{status}] {self.name}: violation {self.max_violation:.3e} "
-            f"(threshold {self.threshold:.1e}, {self.runtime_s:.1f}s)"
+            f"(threshold {self.threshold:.1e}, {self.runtime_s * 1e3:.1f} ms)"
         )
         if self.detail:
             out += f" | {self.detail}"

@@ -353,6 +353,14 @@ def test_verify_exit_code_wiring(tmp_path, monkeypatch):
     assert cli.main(["verify", "--out", str(tmp_path / "v.csv")]) == 0
 
 
+def test_check_line_prints_milliseconds():
+    # most rows take well under 0.1 s, which a seconds field would print as 0.0s
+    result = verification.CheckResult(
+        name="stub", passed=True, max_violation=0.0, threshold=1e-8, runtime_s=0.01234
+    )
+    assert result.line() == "[PASS] stub: violation 0.000e+00 (threshold 1.0e-08, 12.3 ms)"
+
+
 def test_cli_seed_override(tmp_path):
     cfg_path = tmp_path / "cfg.yaml"
     cfg_path.write_text("command: gap\ngamma: 2.0\n")

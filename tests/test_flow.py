@@ -731,9 +731,54 @@ def _dyson_sum_reference(deltas, step, order):
     total = np.eye(16, dtype=complex)
     s_prev = total
     for _ in range(order):
-        s_prev = flow._cumulative_simpson(s_prev @ deltas, step)
+        s_prev = _node_major_simpson(s_prev @ deltas, step)
         total = total + s_prev[-1]
     return total
+
+
+def _node_major_simpson(y, step):
+    """The package's cumulative Simpson rule along axis 0 instead of the last."""
+    return np.moveaxis(flow._cumulative_simpson(np.moveaxis(y, 0, -1), step), -1, 0)
+
+
+def _dyson_node_major(params, drive, t, order, a_op, n_nodes):
+    """The series by node-major nesting: R_j on a (nodes, parts, 4, 4) stack,
+    i[dh, R] by matrix products at every node.  Returns the fine sum and the
+    quadrature error estimate."""
+    grid = np.linspace(0.0, t, 2 * n_nodes + 1)
+    dh = model.effective_hamiltonian(
+        params, np.broadcast_to(model.density_matrix(drive(grid)), grid.shape + (4, 4))
+    )
+    parts = np.array([a_op + a_op.conj().T, 1j * (a_op.conj().T - a_op)]) / 2
+
+    def series(gens, step):
+        total = parts
+        r = np.broadcast_to(parts, gens.shape[:1] + parts.shape)
+        gens = gens[:, None]
+        for _ in range(order):
+            cum = _node_major_simpson(1j * model.hermitian_commutator(gens, r), step)
+            r = cum[-1] - cum
+            total = total + r[0]
+        return total[0] + 1j * total[1]
+
+    step = t / (2 * n_nodes)
+    fine = series(dh, step)
+    return fine, float(np.max(np.abs(fine - series(dh[::2], 2 * step))))
+
+
+@pytest.mark.parametrize("t, n_nodes", [(0.1, 512), (-0.1, 512), (0.3, 33), (-0.2, 65), (0.1, 1)])
+def test_dyson_matches_node_major_nesting(t, n_nodes):
+    # the time-last structural series against matrix-product nesting on the
+    # same grids: negative t, odd coarse grids and a non-Hermitian a_op
+    rng = np.random.default_rng(int(1000 * abs(t)) + n_nodes + 7)
+    for _ in range(3):
+        params = model.ModelParams.random(rng)
+        drive = flow_onsite(params, OnSiteState.random_even(rng), [0.0]).state_matrix
+        a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        res = dyson_phillips(params, drive, t, 8, a, n_nodes=n_nodes)
+        ref, quad_err = _dyson_node_major(params, drive, t, 8, a, n_nodes)
+        assert np.max(np.abs(res.operator - ref)) <= 1e-15
+        assert abs(res.quadrature_error - quad_err) <= 1e-15
 
 
 @pytest.mark.parametrize(
@@ -784,10 +829,10 @@ def test_density_conservation_runs_no_oracle(monkeypatch):
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 513, 1025])
 def test_cumulative_simpson_matches_scipy(n):
     rng = np.random.default_rng(n)
-    y = rng.standard_normal((n, 16, 16)) + 1j * rng.standard_normal((n, 16, 16))
+    y = rng.standard_normal((16, 16, n)) + 1j * rng.standard_normal((16, 16, n))
 
     def scipy_complex(**spacing):
-        kw = dict(axis=0, initial=0.0, **spacing)
+        kw = dict(axis=-1, initial=0.0, **spacing)
         return cumulative_simpson(y.real, **kw) + 1j * cumulative_simpson(y.imag, **kw)
 
     for t in (0.1, -0.1):

@@ -8,6 +8,7 @@ anticommutator by brute force.  The package matrices must agree entrywise.
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -97,9 +98,79 @@ def test_embed_rejects_bad_indices():
         fock.embed(7, 0, "up")
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_car_report_zero(n):
     assert fock.car_report(fock.FermionOperatorSet.build(n)) == 0.0
+
+
+def _with_annihilators(ops, ann, cre=None):
+    """The operator set with new annihilators; creators their adjoints unless given."""
+    if cre is None:
+        cre = {k: a.conj().T.tocsr() for k, a in ann.items()}
+    return fock.FermionOperatorSet(
+        n_sites=ops.n_sites, annihilators=ann, creators=cre, numbers=ops.numbers, parity=ops.parity
+    )
+
+
+def test_car_report_detects_one_flipped_sign_at_a_later_site():
+    # a_i stays a partial isometry with a_i a_i = 0 and {a_i, a+_i} = 1, so
+    # only the blocks (i, j) with j != i, {a_i, a_j} and {a_i, a+_j}, see it
+    ops = fock.FermionOperatorSet.build(3)
+    ann = dict(ops.annihilators)
+    flipped = ann[(2, "dn")].copy()
+    flipped.data[0] *= -1
+    ann[(2, "dn")] = flipped
+    broken = _with_annihilators(ops, ann)
+    assert fock.car_report(broken) >= 1.0
+    a, b = flipped, broken.creators[(2, "dn")]
+    assert np.abs((a @ a).toarray()).max() == 0.0
+    assert np.array_equal((a @ b + b @ a).toarray(), np.eye(64))
+
+
+def test_car_report_detects_broken_creators_only():
+    # the annihilators are intact, so {a_i, a_j} = 0 holds and only the
+    # {a_i, a+_j} family can fail
+    ops = fock.FermionOperatorSet.build(3)
+    cre = {k: 2.0 * c for k, c in ops.creators.items()}
+    broken = _with_annihilators(ops, dict(ops.annihilators), cre)
+    assert fock.car_report(broken) >= 1.0
+
+
+# --- the builders against N-fold Kronecker chains ---------------------------
+
+
+def _kron_chain(factors):
+    """Left-to-right sparse Kronecker product of 4x4 factors, site 0 first."""
+    out = sp.identity(1, dtype=complex, format="csr")
+    for factor in factors:
+        out = sp.kron(out, sp.csr_matrix(np.asarray(factor, dtype=complex)), format="csr")
+    return out
+
+
+def _chain_embed(n, site, spin):
+    local = fock.A_UP if spin == "up" else fock.A_DN
+    return _kron_chain([fock.PARITY_1] * site + [local] + [np.eye(4)] * (n - 1 - site))
+
+
+def _chain_embed_local(n, site, op):
+    return _kron_chain([np.eye(4)] * site + [op] + [np.eye(4)] * (n - 1 - site))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_builders_equal_kron_chains_bitwise(n, rng):
+    op = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    for site in range(n):
+        for spin in fock.SPINS:
+            got = fock.embed(n, site, spin)
+            assert got.dtype == complex and got.format == "csr"
+            assert np.array_equal(got.toarray(), _chain_embed(n, site, spin).toarray())
+        for local in (op, fock.PAIR, fock.N_UP @ fock.N_DN):
+            got = fock.embed_local(n, site, local)
+            assert np.array_equal(got.toarray(), _chain_embed_local(n, site, local).toarray())
+    chain = sp.csr_matrix((4**n, 4**n), dtype=complex)
+    for site in range(n):
+        chain = chain + _chain_embed_local(n, site, fock.PAIR)
+    assert np.array_equal(fock.condensate_op(n).toarray(), (chain / np.sqrt(n)).toarray())
 
 
 def test_car_report_detects_corruption():

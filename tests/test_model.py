@@ -220,6 +220,20 @@ def test_effective_hamiltonian_is_decoupled_at_own_field(rng):
         )
 
 
+def test_decoupled_action_equals_the_commutator(rng):
+    # time-last stacks of general (non-Hermitian) operators against
+    # i (dh R - R dh) by matrix products, node by node
+    params = model.ModelParams.random(rng)
+    c = rng.normal(size=7) + 1j * rng.normal(size=7)
+    r = rng.normal(size=(2, 4, 4, 7)) + 1j * rng.normal(size=(2, 4, 4, 7))
+    got = model.decoupled_action(params, c, r)
+    assert got.shape == r.shape
+    dh = model.decoupled_hamiltonian(params, c)[:, None]
+    stack = np.moveaxis(r, -1, 0)
+    expected = np.moveaxis(1j * (dh @ stack - stack @ dh), 0, -1)
+    assert np.max(np.abs(got - expected)) <= 1e-14
+
+
 def test_precession_is_the_one_nu(rng):
     from mfbcs.classical import rotor_map
     from mfbcs.flow import observables
@@ -349,6 +363,17 @@ def test_sectors_partition_the_basis_and_block_the_hamiltonian(n, rng):
     dense = model.hamiltonian(n, params)
     for idx, block in model.sector_blocks(n, params):
         assert np.array_equal(block, dense[np.ix_(idx, idx)])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_hopping_blocks_equal_sliced_pair_hopping(n):
+    terms = model._hamiltonian_terms(n)
+    assert len(terms.hopping_blocks) == len(terms.sectors)
+    for idx, block in zip(terms.sectors, terms.hopping_blocks):
+        sliced = terms.pair_hopping[idx][:, idx].toarray()
+        assert block.dtype == sliced.dtype and block.shape == sliced.shape
+        assert np.array_equal(block, sliced)
+        assert not block.flags.writeable
 
 
 def test_energy_bound_lhs_is_largest_full_eigenvalue(rng):
