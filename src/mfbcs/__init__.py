@@ -14,7 +14,6 @@ from .errors import (
     ConfigError,
     MfbcsError,
     NumericalAbortError,
-    TruncationError,
 )
 from .model import ModelParams
 from .states import OnSiteState, ProductMixture
@@ -27,6 +26,5 @@ __all__ = [
     "NumericalAbortError",
     "OnSiteState",
     "ProductMixture",
-    "TruncationError",
     "__version__",
 ]

@@ -1,7 +1,7 @@
 """Classical mechanics on the space of even on-site states.
 
-Observables are cylindrical functions f(rho) = g(rho(A_1), ..., rho(A_n))
-built from self-adjoint one-site operators.  The convex derivative
+Observables are polynomials f(rho) = g(rho(A_1), ..., rho(A_n)) in the
+expectations of self-adjoint one-site operators.  The convex derivative
 
     Df(rho) = sum_j (A_j - rho(A_j) 1) d_j g(rho(A_1), ..., rho(A_n))
 
@@ -9,7 +9,7 @@ is an operator-valued gradient centered so that rho(Df(rho)) = 0, and
 
     {f, g}(rho) = rho( i [Df(rho), Dg(rho)] )
 
-is a Poisson bracket on polynomial observables.  The mean-field flow is
+is a Poisson bracket on them.  The mean-field flow is
 Hamiltonian for this bracket with the quadratic energy function
 h(rho) = rho(h0) - gamma |rho(a_dn a_up)|**2; ``liouville_residuals``
 measures how well d/dt f(flow) matches {h, f(flow)} over a whole time grid,
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -65,82 +65,9 @@ def _check_operators(operators: Sequence[np.ndarray]) -> np.ndarray:
     return stack
 
 
-def _expectations(operators: np.ndarray, rho: StateLike) -> np.ndarray:
-    """rho(A_j) for every operator, shape (..., n) for a state or a stack (..., 4, 4)."""
-    return np.einsum("...ij,nji->...n", model.density_matrix(rho), operators).real
-
-
 def _scalar_or_array(value: np.ndarray) -> Union[complex, np.ndarray]:
     """A Python complex for one state, the array for a stack."""
     return complex(value) if np.ndim(value) == 0 else value
-
-
-def _row_by_row(fn: Callable[[np.ndarray], object], x: np.ndarray) -> np.ndarray:
-    """fn applied to each row x[..., :] of an argument array, as complex."""
-    out = np.array([fn(row) for row in x.reshape(-1, x.shape[-1])], dtype=complex)
-    return out.reshape(x.shape[:-1] + out.shape[1:])
-
-
-@dataclass(frozen=True)
-class CylindricalFunction:
-    """g composed with the expectations of finitely many self-adjoint operators.
-
-    ``g`` (and ``gradient``) take one argument vector; on a stack of states
-    they are applied row by row.  ``gradient`` may be omitted, in which case
-    central differences with one Richardson step are used; exact gradients
-    are preferred where available (see :class:`PolynomialFunction`).
-    """
-
-    operators: np.ndarray
-    g: Callable[[np.ndarray], complex]
-    gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    fd_step: float = 1e-6
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "operators", _check_operators(self.operators))
-
-    @property
-    def n_args(self) -> int:
-        return len(self.operators)
-
-    def arguments(self, rho: StateLike) -> np.ndarray:
-        return _expectations(self.operators, rho)
-
-    def __call__(self, rho: StateLike) -> Union[complex, np.ndarray]:
-        return _scalar_or_array(_row_by_row(self.g, self.arguments(rho)))
-
-    def gradient_args(self, x: np.ndarray) -> np.ndarray:
-        return _row_by_row(self._gradient_row, np.asarray(x))
-
-    def _gradient_row(self, x: np.ndarray) -> np.ndarray:
-        if self.gradient is not None:
-            return np.asarray(self.gradient(x), dtype=complex)
-        out = np.empty(self.n_args, dtype=complex)
-        h = self.fd_step
-        for j in range(self.n_args):
-            e = np.zeros(self.n_args)
-            e[j] = 1.0
-            d1 = (self.g(x + h * e) - self.g(x - h * e)) / (2.0 * h)
-            d2 = (self.g(x + 0.5 * h * e) - self.g(x - 0.5 * h * e)) / h
-            out[j] = (4.0 * d2 - d1) / 3.0
-        return out
-
-    def check_gradient(self, rng: np.random.Generator, n_points: int = 5, tol: float = 1e-6) -> float:
-        """Max deviation between the declared gradient and central differences."""
-        worst = 0.0
-        for _ in range(n_points):
-            rho = OnSiteState.random_even(rng)
-            x = self.arguments(rho)
-            declared = self.gradient_args(x)
-            h = 1e-6
-            for j in range(self.n_args):
-                e = np.zeros(self.n_args)
-                e[j] = 1.0
-                fd = (self.g(x + h * e) - self.g(x - h * e)) / (2.0 * h)
-                worst = max(worst, abs(declared[j] - fd))
-        if worst > tol:
-            raise ValueError(f"gradient check failed: deviation {worst:.2e} > {tol:g}")
-        return worst
 
 
 Monomial = Tuple[complex, Tuple[int, ...]]
@@ -221,7 +148,8 @@ class PolynomialFunction:
         return len(self.operators)
 
     def arguments(self, rho: StateLike) -> np.ndarray:
-        return _expectations(self.operators, rho)
+        """rho(A_j) for every operator, shape (..., n) for a state or a stack (..., 4, 4)."""
+        return np.einsum("...ij,nji->...n", model.density_matrix(rho), self.operators).real
 
     def _padded(self, x: np.ndarray) -> np.ndarray:
         """The arguments with the constant 1 appended at index n."""
@@ -274,10 +202,7 @@ class PolynomialFunction:
     __rmul__ = __mul__
 
 
-PhaseFunction = Union[CylindricalFunction, PolynomialFunction]
-
-
-def convex_derivative(f: PhaseFunction, rho: StateLike) -> np.ndarray:
+def convex_derivative(f: PolynomialFunction, rho: StateLike) -> np.ndarray:
     """Centered operator-valued gradient; rho(convex_derivative(f, rho)) = 0.
 
     ``rho`` may be a stack (..., 4, 4); the derivatives come back stacked.
@@ -289,7 +214,7 @@ def convex_derivative(f: PhaseFunction, rho: StateLike) -> np.ndarray:
 
 
 def poisson_bracket(
-    f: PhaseFunction, g: PhaseFunction, rho: StateLike
+    f: PolynomialFunction, g: PolynomialFunction, rho: StateLike
 ) -> Union[complex, np.ndarray]:
     """{f, g}(rho) = rho(i [Df(rho), Dg(rho)]); antisymmetric and Leibniz.
 
@@ -445,7 +370,7 @@ class LiouvilleResult:
 
 def liouville_residuals(
     params: model.ModelParams,
-    fs: Dict[str, PhaseFunction],
+    fs: Dict[str, PolynomialFunction],
     rho0: OnSiteState,
     times: Union[float, np.ndarray],
 ) -> Dict[str, LiouvilleResult]:

@@ -476,16 +476,12 @@ def _run_converge(config: RunConfig) -> ResultTable:
 
 def _run_gap(config: RunConfig) -> ResultTable:
     sol = equilibrium.gap_solve(config.params, config.beta)
-    rows = [
-        (
-            sol.r_star, sol.condensate_density, sol.pressure_value,
-            sol.superconducting, sol.indeterminate, sol.density_at_solution,
-        )
-    ]
+    values = (sol.r_star, sol.condensate_density, sol.pressure_value,
+              sol.superconducting, sol.indeterminate, sol.density_at_solution)
     return ResultTable(
         ["r_star", "condensate_density", "pressure", "superconducting",
          "indeterminate", "density"],
-        list(zip(*rows)),
+        [[v] for v in values],
         {"beta": config.beta},
     )
 
@@ -571,15 +567,14 @@ def _run_rotor(config: RunConfig) -> ResultTable:
 
 def _run_verify(config: RunConfig) -> ResultTable:
     results = verification.run_all(config.seed)
-    rows = []
     for r in results:
         print(r.line())
-        rows.append((r.name, r.passed, r.max_violation, r.threshold, r.detail))
-    table = ResultTable(
-        ["check", "passed", "violation", "threshold", "detail"], list(zip(*rows)), {}
+    fields = ("name", "passed", "max_violation", "threshold", "detail")
+    return ResultTable(
+        ["check", "passed", "violation", "threshold", "detail"],
+        [[getattr(r, f) for r in results] for f in fields],
+        {"all_passed": all(r.passed for r in results)},
     )
-    table.metadata["all_passed"] = all(r.passed for r in results)
-    return table
 
 
 _DISPATCH = {

@@ -29,9 +29,7 @@ A~ = U^dagger A U; every time point is then the phase sum
 
 shared by all observables (for a pure state, psi_t = U e^{-i w t} U^dagger
 psi for many t from one product).  The grid is taken in blocks of
-TIME_BLOCK points, so memory does not grow with its length.
-:meth:`Propagator.evolve_density` and :meth:`Propagator.heisenberg` remain
-the per-time Schroedinger and Heisenberg oracles of the test suite.  The
+TIME_BLOCK points, so memory does not grow with its length.  The
 dense side imports scipy on its first call; the closed form never loads it.
 """
 
@@ -74,7 +72,6 @@ class GibbsSpec:
 class Propagator:
     """Spectral data of a Hermitian matrix, computed once and shared."""
 
-    hamiltonian: np.ndarray = field(repr=False)
     eigenvalues: np.ndarray = field(repr=False)
     eigenvectors: np.ndarray = field(repr=False)
 
@@ -88,33 +85,11 @@ class Propagator:
             raise ArithmeticError(
                 f"eigendecomposition reconstruction error {recon:.2e} too large"
             )
-        return cls(hamiltonian=h, eigenvalues=w, eigenvectors=u)
+        return cls(eigenvalues=w, eigenvectors=u)
 
     @classmethod
     def from_model(cls, n_sites: int, params: model.ModelParams) -> "Propagator":
         return cls.from_matrix(model.hamiltonian(n_sites, params))
-
-    @property
-    def dim(self) -> int:
-        return self.hamiltonian.shape[0]
-
-    def evolve_density(self, dmat: np.ndarray, t: float) -> np.ndarray:
-        """e^{-i t H} D e^{+i t H} (Schroedinger picture)."""
-        u, w = self.eigenvectors, self.eigenvalues
-        phases = np.exp(-1j * t * w)
-        core = u.conj().T @ dmat @ u
-        return u @ (phases[:, None] * core * phases.conj()[None, :]) @ u.conj().T
-
-    def heisenberg(self, op: np.ndarray, t: float) -> np.ndarray:
-        """e^{+i t H} A e^{-i t H}."""
-        return self.evolve_density(op, -t)
-
-    def gibbs_density(self, beta: float) -> np.ndarray:
-        """exp(-beta H)/Z with a spectral shift guarding against overflow."""
-        u, w = self.eigenvectors, self.eigenvalues
-        weights = np.exp(-beta * (w - w.min()))
-        weights /= weights.sum()
-        return (u * weights) @ u.conj().T
 
 
 @dataclass(frozen=True)
@@ -124,7 +99,6 @@ class GlobalState:
     n_sites: int
     kind: str  # "pure" | "mixed"
     data: np.ndarray = field(repr=False)
-    origin: str = "custom"
 
     def __post_init__(self) -> None:
         dim = 4**self.n_sites
@@ -186,10 +160,8 @@ def product_state(
     if isinstance(rho, OnSiteState):
         rho.require_even()
         components = [(1.0, rho)]
-        origin = "product"
     else:
         components = rho.components()
-        origin = "product-mixture"
     dim = 4**n_sites
     out = np.zeros((dim, dim), dtype=complex)
     for weight, state in components:
@@ -197,7 +169,7 @@ def product_state(
         for _ in range(n_sites):
             block = np.kron(block, state.matrix)
         out += weight * block
-    return GlobalState(n_sites=n_sites, kind="mixed", data=out, origin=origin)
+    return GlobalState(n_sites=n_sites, kind="mixed", data=out)
 
 
 def pure_product_state(n_sites: int, vector: Sequence[complex]) -> GlobalState:
@@ -214,7 +186,7 @@ def pure_product_state(n_sites: int, vector: Sequence[complex]) -> GlobalState:
     psi = np.array([1.0 + 0j])
     for _ in range(n_sites):
         psi = np.kron(psi, v)
-    return GlobalState(n_sites=n_sites, kind="pure", data=psi, origin="product")
+    return GlobalState(n_sites=n_sites, kind="pure", data=psi)
 
 
 def propagation_backend(n_sites: int, kind: str) -> str:
@@ -383,7 +355,7 @@ def gibbs_state(
         u = prop.eigenvectors
         out[np.ix_(idx, idx)] = (u * np.exp(-spec.beta * (prop.eigenvalues - shift))) @ u.conj().T
     out /= np.trace(out).real
-    return GlobalState(n_sites=n_sites, kind="mixed", data=out, origin="gibbs")
+    return GlobalState(n_sites=n_sites, kind="mixed", data=out)
 
 
 def pressure_fv(

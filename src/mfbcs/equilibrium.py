@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Union
+from typing import List, NamedTuple, Union
 
 import numpy as np
 
@@ -101,22 +101,14 @@ def pressure_onsite(
     return float(p) if np.ndim(c) == 0 else p
 
 
+#: Points of the coarse grid on r in [0, 1] that brackets the global maximum.
+GRID_POINTS = 4097
+#: r* above it is superconducting; within one grid cell of it, indeterminate.
+SUPERCONDUCTING_THRESHOLD = 1e-3
 #: Bisection steps of the gap-equation refinement: they shrink the bracket of
-#: two grid cells (5e-4 wide on the default grid) by 2**-60, to 4e-22, below
-#: the spacing of doubles wherever r* > 2e-6.
+#: two grid cells (5e-4 wide) by 2**-60, to 4e-22, below the spacing of
+#: doubles wherever r* > 2e-6.
 BISECTION_STEPS = 60
-
-
-@dataclass(frozen=True)
-class GapSolverConfig:
-    """Coarse-grid resolution and phase threshold of the gap search."""
-
-    grid_points: int = 4097
-    superconducting_threshold: float = 1e-3
-
-    def __post_init__(self) -> None:
-        if self.grid_points < 3:
-            raise ValueError("grid_points must be >= 3")
 
 
 @dataclass(frozen=True)
@@ -134,11 +126,7 @@ class GapSolution:
         return self.r_star**2
 
 
-def gap_solve(
-    params: model.ModelParams,
-    beta: float,
-    cfg: Optional[GapSolverConfig] = None,
-) -> GapSolution:
+def gap_solve(params: model.ModelParams, beta: float) -> GapSolution:
     """Maximize f(r) = -gamma r**2 + pressure_onsite(r) over r in [0, 1].
 
     A dense grid scan brackets the global maximum (including both
@@ -152,7 +140,6 @@ def gap_solve(
     """
     if beta <= 0:
         raise ValueError("beta must be > 0")
-    cfg = cfg or GapSolverConfig()
     # the levels of the decoupled operator, -mu -+ h and eps -+ E_r for r <= 1
     eps = params.lam - params.mu
     top = max(abs(params.mu) + abs(params.h), abs(eps) + math.hypot(eps, params.gamma))
@@ -160,7 +147,7 @@ def gap_solve(
         raise NumericalAbortError(
             "the one-site levels overflow: |mu| + |h| or |eps| + hypot(eps, gamma) is inf"
         )
-    rs = np.linspace(0.0, 1.0, cfg.grid_points)
+    rs = np.linspace(0.0, 1.0, GRID_POINTS)
     f = -params.gamma * rs**2 + pressure_onsite(params, beta, rs)
     fmax = float(f.max())
     if not math.isfinite(fmax):
@@ -188,13 +175,11 @@ def gap_solve(
                     hi = mid
             r_star = 0.5 * (lo + hi)
     at_star = _PairSector.at(params, beta, r_star)
-    spacing = 1.0 / (cfg.grid_points - 1)
-    threshold = cfg.superconducting_threshold
     return GapSolution(
         r_star=r_star,
         pressure_value=float(-params.gamma * r_star**2 + at_star.log_z / beta),
-        superconducting=bool(r_star > threshold),
-        indeterminate=bool(abs(r_star - threshold) < spacing),
+        superconducting=bool(r_star > SUPERCONDUCTING_THRESHOLD),
+        indeterminate=bool(abs(r_star - SUPERCONDUCTING_THRESHOLD) < rs[1]),  # a grid cell
         density_at_solution=float(at_star.density),
     )
 
@@ -220,36 +205,25 @@ class DensityCheckResult:
     applicable: bool
     lhs: float  # d at the gap solution
     rhs: float  # 1 + nu(d=1) / gamma = 1 + 2 (mu - lam) / gamma
-    passed: Optional[bool]
 
 
-def superconducting_density_check(
-    params: model.ModelParams,
-    beta: float,
-    cfg: Optional[GapSolverConfig] = None,
-    tol: float = 1e-6,
-) -> DensityCheckResult:
+def superconducting_density_check(params: model.ModelParams, beta: float) -> DensityCheckResult:
     """In the superconducting phase the density is pinned to 1 + 2(mu-lam)/gamma.
 
-    Reported as not applicable in the normal phase (r* below threshold).
+    Reported as not applicable in the normal phase (r* below threshold);
+    the caller compares ``lhs`` with ``rhs``.
     """
     if params.gamma == 0.0:
         raise ValueError("density identity needs gamma > 0")
-    sol = gap_solve(params, beta, cfg)
+    sol = gap_solve(params, beta)
     rhs = 1.0 + model.precession(params, 1.0) / params.gamma
-    if not sol.superconducting:
-        return DensityCheckResult(applicable=False, lhs=sol.density_at_solution, rhs=rhs, passed=None)
-    lhs = sol.density_at_solution
-    return DensityCheckResult(
-        applicable=True, lhs=lhs, rhs=rhs, passed=bool(abs(lhs - rhs) < tol)
-    )
+    return DensityCheckResult(sol.superconducting, sol.density_at_solution, rhs)
 
 
 def equilibrium_mixture(
     params: model.ModelParams,
     beta: float,
     n_phases: int,
-    cfg: Optional[GapSolverConfig] = None,
 ) -> ProductMixture:
     """Uniform phase average of the gap-solution Gibbs branches.
 
@@ -260,7 +234,7 @@ def equilibrium_mixture(
     """
     if n_phases < 1:
         raise ValueError("n_phases must be >= 1")
-    sol = gap_solve(params, beta, cfg)
+    sol = gap_solve(params, beta)
     comps = []
     for k in range(n_phases):
         phase = np.exp(2j * math.pi * k / n_phases)
@@ -285,7 +259,6 @@ def variational_vs_finite_pressure(
     params: model.ModelParams,
     beta: float,
     n_max: int,
-    cfg: Optional[GapSolverConfig] = None,
 ) -> List[PressureRow]:
     """Finite-volume pressures next to the variational sup, N = 1 .. n_max.
 
@@ -293,7 +266,7 @@ def variational_vs_finite_pressure(
     thermodynamic-limit pressure identity.
     """
     fock.check_site_count(n_max)
-    sol = gap_solve(params, beta, cfg)
+    sol = gap_solve(params, beta)
     spec = dynamics.GibbsSpec(beta=beta)
     rows = []
     for n in range(1, n_max + 1):

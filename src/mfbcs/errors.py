@@ -20,7 +20,3 @@ class ConfigError(MfbcsError):
 
 class NumericalAbortError(MfbcsError):
     """An integrator or solver left its validity envelope (e.g. positivity)."""
-
-
-class TruncationError(MfbcsError):
-    """A truncated series' certified remainder bound exceeds the tolerance."""

@@ -53,7 +53,7 @@ from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import fock, model
-from .errors import NumericalAbortError, TruncationError
+from .errors import NumericalAbortError
 from .states import EVENNESS_TOL, HERMITICITY_TOL, TRACE_TOL, OnSiteState, ProductMixture
 from .states import _where, parity_commutator_norm
 
@@ -436,7 +436,6 @@ def dyson_phillips(
     t: float,
     order: int,
     a_op: np.ndarray,
-    tol: Optional[float] = None,
     n_nodes: int = 512,
 ) -> DysonResult:
     """Truncated time-ordered series for the driven Heisenberg evolution of a_op.
@@ -453,8 +452,7 @@ def dyson_phillips(
     estimate.  The certified truncation remainder is
     (M |t|)**(order+1) / (order+1)! with M the largest norm of B -> i[dh, B]
     on the coarse nodes, which is the spread max(e) - min(e) of the
-    eigenvalues of dh; if ``tol`` is given and the remainder exceeds it, a
-    TruncationError is raised before any quadrature is run.
+    eigenvalues of dh.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -470,11 +468,6 @@ def dyson_phillips(
     dh = model.decoupled_hamiltonian(params, field[::2])
     m_norm = float(np.ptp(np.linalg.eigvalsh(dh), axis=-1).max())
     remainder = (m_norm * abs(t)) ** (order + 1) / math.factorial(order + 1)
-    if tol is not None and remainder > tol:
-        raise TruncationError(
-            f"series remainder bound {remainder:.3e} exceeds tolerance {tol:.1e}; "
-            "shorten t or raise the order"
-        )
 
     # the series is linear in a_op = A + iB and runs on the Hermitian parts
     # A and B, stacked on axis 0 with the nodes last: i[dh, .] keeps every

@@ -93,7 +93,6 @@ PAIR: np.ndarray = A_DN @ A_UP
 PAIR_DAG: np.ndarray = PAIR.conj().T
 #: Row and column (p, q) of the single entry of PAIR = |p><q|.
 PAIR_ENTRY: Tuple[int, int] = tuple(int(i) for i in np.argwhere(PAIR)[0])
-IDENTITY_1: np.ndarray = np.eye(4, dtype=complex)
 
 #: The one-site observables tabulated by ``simulate`` and ``converge`` and
 #: compared with the mean-field flow: density d, magnetization m, double
@@ -188,18 +187,9 @@ def embed_local(n_sites: int, site: int, op: np.ndarray) -> sp.csr_matrix:
     return _place(n_sites, site, np.ones(4**site), op)
 
 
-def parity_operator(n_sites: int) -> sp.csr_matrix:
-    """Diagonal operator (-1)**(total occupation), sparse."""
-    # imported here, not at module level: scipy.sparse takes ~0.2 s to load
-    import scipy.sparse as sp
-
-    check_site_count(n_sites)
-    return sp.diags(_parity_diagonal(n_sites).astype(complex), format="csr")
-
-
 @dataclass(frozen=True)
 class FermionOperatorSet:
-    """All CAR matrices for a fixed site count.
+    """The annihilators and creators for a fixed site count.
 
     Dictionaries are keyed by (site, spin).  Everything is immutable after
     construction and safe to share between threads.
@@ -208,28 +198,18 @@ class FermionOperatorSet:
     n_sites: int
     annihilators: Dict[Tuple[int, str], sp.csr_matrix] = field(repr=False)
     creators: Dict[Tuple[int, str], sp.csr_matrix] = field(repr=False)
-    numbers: Dict[Tuple[int, str], sp.csr_matrix] = field(repr=False)
-    parity: sp.csr_matrix = field(repr=False)
 
     @classmethod
     def build(cls, n_sites: int) -> "FermionOperatorSet":
         check_site_count(n_sites)
         ann: Dict[Tuple[int, str], sp.csr_matrix] = {}
         cre: Dict[Tuple[int, str], sp.csr_matrix] = {}
-        num: Dict[Tuple[int, str], sp.csr_matrix] = {}
         for x in range(n_sites):
             for s in SPINS:
                 a = embed(n_sites, x, s)
                 ann[(x, s)] = a
                 cre[(x, s)] = a.conj().T.tocsr()
-                num[(x, s)] = (cre[(x, s)] @ a).tocsr()
-        return cls(
-            n_sites=n_sites,
-            annihilators=ann,
-            creators=cre,
-            numbers=num,
-            parity=parity_operator(n_sites),
-        )
+        return cls(n_sites=n_sites, annihilators=ann, creators=cre)
 
     @property
     def dim(self) -> int:
@@ -237,15 +217,6 @@ class FermionOperatorSet:
 
     def modes(self) -> List[Tuple[int, str]]:
         return [(x, s) for x in range(self.n_sites) for s in SPINS]
-
-    def total_number(self) -> sp.csr_matrix:
-        # imported here, not at module level: scipy.sparse takes ~0.2 s to load
-        import scipy.sparse as sp
-
-        out = sp.csr_matrix((self.dim, self.dim), dtype=complex)
-        for key in self.modes():
-            out = out + self.numbers[key]
-        return out.tocsr()
 
 
 def _block_products(left: List[sp.csr_matrix], right: List[sp.csr_matrix]) -> sp.csr_matrix:

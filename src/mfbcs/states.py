@@ -20,47 +20,14 @@ HERMITICITY_TOL = 1e-10
 POSITIVITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 EVENNESS_TOL = 1e-10
+#: Weight of the maximally mixed state in every OnSiteState.random_even draw.
+RANK_FLOOR = 1e-3
 
 
 def parity_commutator_norm(matrix: np.ndarray) -> Union[float, np.ndarray]:
     """Max-norm of [matrix, parity], one per matrix of a stack (..., 4, 4); zero iff even."""
     p = fock.PARITY_1
     return np.abs(matrix @ p - p @ matrix).max(axis=(-2, -1))
-
-
-def validated_density_matrices(matrices: np.ndarray) -> np.ndarray:
-    """Check a 4x4 density matrix, or a stack (..., 4, 4) of them.
-
-    Each matrix must have finite entries and be Hermitian, of unit trace
-    and positive, each to 1e-10.  Returns the matrices made exactly
-    Hermitian, as a read-only array; the message names the index of the
-    first failing matrix of a stack.
-    """
-    m = np.asarray(matrices, dtype=complex)
-    if m.shape[-2:] != (4, 4):
-        raise ValueError(f"on-site states must be 4x4, got {m.shape}")
-    bad = ~np.isfinite(m).all(axis=(-2, -1))
-    if bad.any():
-        raise ValueError(f"{_where(bad)}density matrix has a non-finite entry")
-    adjoint = np.swapaxes(m, -1, -2).conj()
-    bad = np.max(np.abs(m - adjoint), axis=(-2, -1)) > HERMITICITY_TOL
-    if bad.any():
-        raise ValueError(f"{_where(bad)}density matrix is not Hermitian within 1e-10")
-    m = 0.5 * (m + adjoint)
-    tr = np.asarray(np.trace(m, axis1=-2, axis2=-1).real)
-    bad = np.abs(tr - 1.0) > TRACE_TOL
-    if bad.any():
-        raise ValueError(
-            f"{_where(bad)}density matrix trace {tr[bad].flat[0]} is not 1 within 1e-10"
-        )
-    low = np.linalg.eigvalsh(m)[..., 0]
-    bad = low < -POSITIVITY_TOL
-    if bad.any():
-        raise ValueError(
-            f"{_where(bad)}density matrix has eigenvalue {low[bad].flat[0]} < -1e-10"
-        )
-    m.setflags(write=False)
-    return m
 
 
 def _where(bad: np.ndarray) -> str:
@@ -72,22 +39,33 @@ def _where(bad: np.ndarray) -> str:
 class OnSiteState:
     """A 4x4 density matrix on the one-site Fock space.
 
-    Validation (:func:`validated_density_matrices`) enforces hermiticity,
-    positivity and unit trace to 1e-10.  Construct via :meth:`from_matrix`
-    (or the named constructors below) so the stored matrix is exactly
-    Hermitian.
+    Construct via :meth:`from_matrix` (or the named constructors below),
+    which checks the matrix and stores it exactly Hermitian.
     """
 
     matrix: np.ndarray
 
     @classmethod
-    def from_matrix(cls, matrix: np.ndarray, require_even: bool = False) -> "OnSiteState":
+    def from_matrix(cls, matrix: np.ndarray) -> "OnSiteState":
+        """The state of a density matrix: finite entries, Hermitian, unit trace
+        and positive, each to 1e-10.  The matrix is stored made exactly
+        Hermitian, as a read-only array."""
         m = np.asarray(matrix, dtype=complex)
         if m.shape != (4, 4):
             raise ValueError(f"on-site state must be 4x4, got {m.shape}")
-        m = validated_density_matrices(m)
-        if require_even and parity_commutator_norm(m) > EVENNESS_TOL:
-            raise ValueError("state is not even: it does not commute with parity")
+        if not np.isfinite(m).all():
+            raise ValueError("density matrix has a non-finite entry")
+        adjoint = m.conj().T
+        if np.max(np.abs(m - adjoint)) > HERMITICITY_TOL:
+            raise ValueError("density matrix is not Hermitian within 1e-10")
+        m = 0.5 * (m + adjoint)
+        tr = np.trace(m).real
+        if abs(tr - 1.0) > TRACE_TOL:
+            raise ValueError(f"density matrix trace {tr} is not 1 within 1e-10")
+        low = np.linalg.eigvalsh(m)[0]
+        if low < -POSITIVITY_TOL:
+            raise ValueError(f"density matrix has eigenvalue {low} < -1e-10")
+        m.setflags(write=False)
         return cls(matrix=m)
 
     @classmethod
@@ -124,11 +102,11 @@ class OnSiteState:
         return cls.pure(v)
 
     @classmethod
-    def random_even(cls, rng: np.random.Generator, rank_floor: float = 1e-3) -> "OnSiteState":
+    def random_even(cls, rng: np.random.Generator) -> "OnSiteState":
         """Full-rank random even state (independent Wishart blocks).
 
-        ``rank_floor`` mixes in a little of the maximally mixed state so
-        perturbations used by finite differences stay inside the cone.
+        RANK_FLOOR of the maximally mixed state is mixed in, so every
+        eigenvalue is at least RANK_FLOOR / 4.
         """
         def wishart(k: int) -> np.ndarray:
             a = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
@@ -140,7 +118,7 @@ class OnSiteState:
         m[even_idx] = wishart(2)
         m[odd_idx] = wishart(2)
         m = m / np.trace(m).real
-        m = (1.0 - rank_floor) * m + rank_floor * np.eye(4) / 4.0
+        m = (1.0 - RANK_FLOOR) * m + RANK_FLOOR * np.eye(4) / 4.0
         return cls.from_matrix(m)
 
     def expect(self, op: np.ndarray) -> complex:
@@ -150,10 +128,6 @@ class OnSiteState:
     def pair_expectation(self) -> complex:
         """rho(a_dn a_up), the Cooper-field density."""
         return self.expect(fock.PAIR)
-
-    @property
-    def is_even(self) -> bool:
-        return bool(parity_commutator_norm(self.matrix) <= EVENNESS_TOL)
 
     def require_even(self) -> None:
         dev = parity_commutator_norm(self.matrix)
@@ -195,13 +169,5 @@ class ProductMixture:
     def single(cls, state: OnSiteState) -> "ProductMixture":
         return cls.from_components([(1.0, state)])
 
-    def __len__(self) -> int:
-        return len(self.weights)
-
     def components(self) -> List[Tuple[float, OnSiteState]]:
         return list(zip(self.weights, self.states))
-
-    def barycenter(self) -> OnSiteState:
-        """The averaged one-site density matrix sum_j u_j D_j."""
-        m = sum(u * s.matrix for u, s in self.components())
-        return OnSiteState.from_matrix(m)

@@ -6,7 +6,6 @@ import pytest
 
 from mfbcs import classical, dynamics, fock, model, verification
 from mfbcs.classical import (
-    CylindricalFunction,
     PolynomialFunction,
     RotorState,
     affine_polynomial,
@@ -63,32 +62,6 @@ def test_convex_derivative_constant_and_centering(rng):
     for f in polynomial_suite().values():
         d = convex_derivative(f, rho)
         assert abs(np.trace(rho.matrix @ d)) < 1e-12
-
-
-def test_cylindrical_numeric_gradient(rng):
-    f = CylindricalFunction(
-        operators=(classical.PAIR_X, classical.PAIR_Y),
-        g=lambda x: math.sin(x[0]) * math.exp(0.3 * x[1]),
-    )
-    assert f.check_gradient(rng) < 1e-6
-    g_exact = CylindricalFunction(
-        operators=(classical.PAIR_X,),
-        g=lambda x: x[0] ** 3,
-        gradient=lambda x: np.array([3.0 * x[0] ** 2]),
-    )
-    assert g_exact.check_gradient(rng) < 1e-6
-    wrong = CylindricalFunction(
-        operators=(classical.PAIR_X,),
-        g=lambda x: x[0] ** 3,
-        gradient=lambda x: np.array([x[0] ** 2]),
-    )
-    with pytest.raises(ValueError):
-        wrong.check_gradient(rng)
-
-
-def test_cylindrical_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        CylindricalFunction(operators=(fock.PAIR,), g=lambda x: x[0])
 
 
 def test_bracket_antisymmetry_and_trivial_cases(rng):
@@ -257,16 +230,6 @@ def test_rotor_map_rejects_nan_states(rng):
         rotor_map(model.ModelParams(gamma=1.0), stack)
 
 
-def test_polynomial_agrees_with_cylindrical_wrapper(rng):
-    poly = condensate_polynomial()
-    wrapped = CylindricalFunction(
-        operators=poly.operators, g=poly.g, gradient=poly.gradient_args
-    )
-    for _ in range(5):
-        rho = OnSiteState.random_even(rng)
-        assert poly(rho) == wrapped(rho)  # same evaluation path, exact match
-
-
 def test_polynomial_algebra_guard():
     f = affine_polynomial(classical.PAIR_X)
     g = affine_polynomial(classical.PAIR_Y)
@@ -386,9 +349,8 @@ def test_observables_on_a_stack_equal_the_per_state_loop(rng, shape):
     poly = PolynomialFunction(
         ops, ((0.5 - 1j, ()), (2.0, (0,)), (-1.5j, (1, 2)), (0.25, (0, 0, 2)))
     )
-    cyl = CylindricalFunction(ops, g=lambda x: math.sin(x[0]) * x[1] - x[2] ** 2)
     h_fn = classical_hamiltonian(model.ModelParams.random(rng))
-    for f in (poly, cyl, h_fn):
+    for f in (poly, h_fn):
         args, values = f.arguments(stack), f(stack)
         derivs = convex_derivative(f, stack)
         brackets = poisson_bracket(h_fn, f, stack)

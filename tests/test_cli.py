@@ -1,4 +1,5 @@
 import ast
+import importlib
 import math
 import os
 import re
@@ -52,6 +53,37 @@ def test_readme_config_block_matches_parser():
     cfg = parse_config(block)
     assert cfg.command == "converge"
     assert set(yaml.safe_load(block)) == cli._TOP_KEYS
+
+
+def test_readme_layout_names_resolve():
+    # every code name the Layout table cites in parentheses, such as
+    # (`spectrum`), is an attribute of its module or of one of its classes
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    layout = readme.split("## Layout", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `mfbcs\.(\w+)` +\|(.*)\|$", layout, re.M)
+    assert len(rows) == 9
+    cited, missing = 0, []
+    for module_name, contents in rows:
+        module = importlib.import_module(f"mfbcs.{module_name}")
+        classes = [v for v in vars(module).values()
+                   if isinstance(v, type) and v.__module__ == module.__name__]
+        # formulas in backticks, such as `h0 - gamma (c P+ + cbar P)`, are no names
+        text = re.sub(r"`[^`]*`", lambda m: "" if " " in m[0] else m[0], contents)
+        for group in re.findall(r"\(([^()]*)\)", text):
+            for name in re.findall(r"`([A-Za-z_][\w.]*)`", group):
+                cited += 1
+                owners = [module, *classes] if "." not in name else [module]
+                if not any(_resolves(owner, name) for owner in owners):
+                    missing.append(f"{module_name}: {name}")
+    assert cited >= 10 and not missing
+
+
+def _resolves(owner, dotted):
+    for part in dotted.split("."):
+        if not hasattr(owner, part):
+            return False
+        owner = getattr(owner, part)
+    return True
 
 
 def test_c_and_python_yaml_loaders_agree(monkeypatch):
@@ -717,7 +749,7 @@ def test_converge_and_simulate_evolve_the_mixture(tmp_path):
     cfg = parse_config(f"command: converge\nsites: [2, 3, 4]\nout: {tmp_path / 'c.csv'}\n"
                        + _MIXTURE)
     mix = cli._initial_mixture(cfg)
-    assert len(mix) == 2
+    assert len(mix.weights) == 2
     times = np.array(cfg.times)
     n_col, t_col, name_col, finite_col, flow_col, _ = run(cfg).columns
     traj = mixture_flow(cfg.params, mix, times)

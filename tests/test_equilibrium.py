@@ -74,10 +74,12 @@ def test_gap_solve_strong_coupling():
 
 
 def test_gap_near_critical_labeled_indeterminate():
-    # just above the continuous onset (gamma = 4 at beta = 1) with a coarse
-    # grid the tiny maximizer sits within one cell of the threshold
-    cfg = equilibrium.GapSolverConfig(grid_points=11)
-    sol = equilibrium.gap_solve(model.ModelParams(gamma=4.01), 1.0, cfg)
+    # just above the continuous onset (gamma = 4 at beta = 1) the small
+    # maximizer, r* = 1.15e-3, sits within one grid cell of the threshold
+    sol = equilibrium.gap_solve(model.ModelParams(gamma=4.000007), 1.0)
+    spacing = 1.0 / (equilibrium.GRID_POINTS - 1)
+    assert abs(sol.r_star - 1.15e-3) < 1e-5
+    assert abs(sol.r_star - equilibrium.SUPERCONDUCTING_THRESHOLD) < spacing
     assert sol.indeterminate
 
 
@@ -143,7 +145,7 @@ def test_density_check_half_filling():
     res = equilibrium.superconducting_density_check(
         model.ModelParams(mu=0.5, lam=0.5, gamma=8.0), 1.0
     )
-    assert res.applicable and res.passed
+    assert res.applicable
     assert abs(res.lhs - 1.0) < 1e-8 and res.rhs == 1.0
 
 
@@ -152,12 +154,12 @@ def test_density_check_quarter_shift():
     res = equilibrium.superconducting_density_check(
         model.ModelParams(mu=2.0, lam=0.0, gamma=8.0), 1.0
     )
-    assert res.applicable and res.passed and res.rhs == 1.5
+    assert res.applicable and abs(res.lhs - res.rhs) < 1e-6 and res.rhs == 1.5
 
 
 def test_density_check_normal_phase_not_applicable():
     res = equilibrium.superconducting_density_check(model.ModelParams(gamma=2.0), 1.0)
-    assert not res.applicable and res.passed is None
+    assert not res.applicable
 
 
 def test_density_check_rejects_gamma_zero():
@@ -168,7 +170,7 @@ def test_density_check_rejects_gamma_zero():
 def test_equilibrium_mixture_single_phase():
     params = model.ModelParams(gamma=8.0)
     mix = equilibrium.equilibrium_mixture(params, 1.0, 1)
-    assert len(mix) == 1 and mix.weights == (1.0,)
+    assert mix.weights == (1.0,)
 
 
 def test_equilibrium_mixture_phase_average_cancels():

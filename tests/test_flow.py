@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import cumulative_simpson, solve_ivp
 
 from mfbcs import classical, flow, fock, model, verification
-from mfbcs.errors import NumericalAbortError, TruncationError
+from mfbcs.errors import NumericalAbortError
 from mfbcs.flow import (
     ClosedFormFlow,
     dyson_phillips,
@@ -645,25 +645,6 @@ def test_dyson_non_hermitian_operator_vs_ode(rng):
     b = 0.5j * (a.conj().T - a)
     alone = dyson_phillips(params, traj.state_matrix, 0.1, 8, 1j * b).operator
     assert np.array_equal(alone, 1j * dyson_phillips(params, traj.state_matrix, 0.1, 8, b).operator)
-
-
-def test_dyson_truncation_error_raised(rng):
-    params = model.ModelParams(mu=1.0, h=0.5, lam=1.0, gamma=2.0)
-    rho = OnSiteState.pair_superposition(0.7)
-    with pytest.raises(TruncationError):
-        dyson_phillips(params, lambda s: rho, 5.0, 2, fock.PAIR_DAG + fock.PAIR, tol=1e-8)
-
-
-def test_dyson_truncation_error_before_quadrature(monkeypatch):
-    # the remainder bound needs only the generator norms: no quadrature runs
-    def no_quadrature(*_args):
-        raise AssertionError("quadrature ran before the truncation check")
-
-    monkeypatch.setattr(flow, "_cumulative_simpson", no_quadrature)
-    params = model.ModelParams(mu=1.0, h=0.5, lam=1.0, gamma=2.0)
-    rho = OnSiteState.pair_superposition(0.7)
-    with pytest.raises(TruncationError):
-        dyson_phillips(params, lambda s: rho, 5.0, 2, fock.PAIR_DAG + fock.PAIR, tol=1e-8)
 
 
 def test_dyson_argument_validation():

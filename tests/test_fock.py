@@ -12,6 +12,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import parity_operator
 from mfbcs import fock
 from mfbcs.errors import CapacityError
 
@@ -107,9 +108,7 @@ def _with_annihilators(ops, ann, cre=None):
     """The operator set with new annihilators; creators their adjoints unless given."""
     if cre is None:
         cre = {k: a.conj().T.tocsr() for k, a in ann.items()}
-    return fock.FermionOperatorSet(
-        n_sites=ops.n_sites, annihilators=ann, creators=cre, numbers=ops.numbers, parity=ops.parity
-    )
+    return fock.FermionOperatorSet(n_sites=ops.n_sites, annihilators=ann, creators=cre)
 
 
 def test_car_report_detects_one_flipped_sign_at_a_later_site():
@@ -182,8 +181,6 @@ def test_car_report_detects_corruption():
         n_sites=2,
         annihilators=broken,
         creators=ops.creators,
-        numbers=ops.numbers,
-        parity=ops.parity,
     )
     assert fock.car_report(corrupted) >= 1.0
 
@@ -198,7 +195,7 @@ def test_property_nilpotent_and_parity(n, data):
     s = data.draw(st.sampled_from(["up", "dn"]))
     a = fock.embed(n, x, s)
     assert np.abs((a @ a).toarray()).max() == 0.0
-    p = fock.parity_operator(n)
+    p = parity_operator(n)
     conj = (p @ a @ p).toarray()
     assert np.array_equal(conj, -a.toarray())
 
@@ -220,7 +217,7 @@ def test_condensate_two_site_overlap():
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_condensate_even_and_bounded(n):
     c0 = fock.condensate_op(n)
-    p = fock.parity_operator(n)
+    p = parity_operator(n)
     assert np.abs((c0 @ p - p @ c0).toarray()).max() == 0.0
     norm = np.linalg.norm(c0.toarray(), ord=2)
     assert norm <= np.sqrt(n) + 1e-12

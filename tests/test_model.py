@@ -11,7 +11,7 @@ from mfbcs import dynamics, fock, model
 from mfbcs.errors import CapacityError
 from mfbcs.states import OnSiteState
 
-from conftest import decoupled_hamiltonian_n
+from conftest import decoupled_hamiltonian_n, parity_operator, total_number
 
 # finite-volume pressure at N=2, beta=1, mu=1, h=lam=0, gamma=2, frozen from
 # an independently assembled 16x16 matrix and dense eigensolve
@@ -54,9 +54,9 @@ def test_hamiltonian_symmetries(n, rng):
     params = model.ModelParams.random(rng)
     h = model.hamiltonian(n, params)
     assert np.abs(h - h.conj().T).max() == 0.0
-    number = fock.FermionOperatorSet.build(n).total_number().toarray()
+    number = total_number(n).toarray()
     assert np.abs(h @ number - number @ h).max() < 1e-12
-    parity = fock.parity_operator(n).toarray()
+    parity = parity_operator(n).toarray()
     assert np.abs(h @ parity - parity @ h).max() < 1e-12
 
 
@@ -65,10 +65,10 @@ def test_hamiltonian_symmetries_large(n, rng):
     # same invariant at the dense capacity edge, via the sparse route
     params = model.ModelParams.random(rng)
     h = model.hamiltonian_sparse(n, params)
-    number = fock.FermionOperatorSet.build(n).total_number()
+    number = total_number(n)
     comm = (h @ number - number @ h).tocsr()
     assert (np.abs(comm.data).max() if comm.nnz else 0.0) < 1e-12
-    parity = fock.parity_operator(n)
+    parity = parity_operator(n)
     comm = (h @ parity - parity @ h).tocsr()
     assert (np.abs(comm.data).max() if comm.nnz else 0.0) < 1e-12
 

@@ -36,3 +36,23 @@ def test_tracer_installs_and_uninstalls_on_the_package():
     assert dynamics.evolve_expectation is original
     names = [span[0] for span in recorder.spans]
     assert "dynamics.evolve_expectation.spectral_mixed" in names
+
+
+def test_tracer_labels_a_pure_state_evolution():
+    spans = _load_spans()
+    recorder = spans.Recorder()
+    uninstall = spans.install(recorder)
+    try:
+        initial = dynamics.pure_product_state(2, [0.8, 0.0, 0.0, 0.6])
+        params = model.ModelParams(gamma=1.0)
+        # "auto" is labelled through propagation_backend, an explicit backend directly
+        for backend in ("auto", "spectral"):
+            dynamics.evolve_expectation(
+                2, params, initial, [fock.PAIR], [0.0, 0.5], backend=backend
+            )
+    finally:
+        uninstall()
+    names = [span[0] for span in recorder.spans]
+    assert names.count("dynamics.pure_product_state") == 1
+    assert names.count("dynamics.evolve_expectation.spectral_pure") == 2
+    assert names.count("dynamics.Propagator.from_matrix") == 2
