@@ -49,9 +49,19 @@ def _mixed_with(index, value):
     ],
     ids=["not-hermitian", "trace-4", "negative-eigenvalue", "nan", "inf", "all-nan"],
 )
-def test_from_matrix_rejects(bad):
-    with pytest.raises(ValueError, match="^density matrix"):
-        OnSiteState.from_matrix(bad)
+@pytest.mark.parametrize("k", [0, 3, 6])
+def test_stack_check_rejects_what_from_matrix_rejects(bad, k):
+    # A stack checked matrix by matrix: only the bad matrix at index k fails,
+    # so the verdict on a matrix does not depend on its neighbours.
+    rng = np.random.default_rng(k)
+    stack = np.stack([OnSiteState.random_even(rng).matrix for _ in range(7)])
+    stack[k] = bad
+    for i, m in enumerate(stack):
+        if i == k:
+            with pytest.raises(ValueError, match="^density matrix"):
+                OnSiteState.from_matrix(m)
+        else:
+            OnSiteState.from_matrix(m)
 
 
 def test_from_matrix_symmetrises(rng):
