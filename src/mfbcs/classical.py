@@ -16,11 +16,15 @@ measures how well d/dt f(flow) matches {h, f(flow)} over a whole time grid,
 both sides exact: the flow is the closed-form phase map, whose tangent in
 the seed is known in closed form.
 
-Everything here works on stacks: the operators of an observable are one
-read-only (n, 4, 4) array, ``arguments`` maps a state or a stack (..., 4, 4)
-to the expectations (..., n) by one einsum, polynomial values and gradients
-broadcast over the leading axes, and the convex derivative and the bracket
-are contractions over the same axes.
+Everything here works on stacks, of states and of polynomials: the
+operators of an observable are one read-only (n, 4, 4) array,
+``arguments`` maps a state or a stack (..., 4, 4) to the expectations
+(..., n) by one einsum, and a stack of polynomials over those operators
+(``PolynomialFunction.stack``) is one pair of index tables with leading
+batch axes.  Values, gradients, sums, products and bracket polynomials
+broadcast the polynomial batch against the leading axes of the states, and
+the convex derivative and the bracket are contractions over the same axes,
+so one bracket call evaluates a stack of polynomials on a stack of states.
 
 Projecting a state to (Re z, Im z, shifted density) turns the flow into the
 rigid precession of a symmetric rotor; ``rotor_map`` and ``rotor_flow``
@@ -73,79 +77,123 @@ def _scalar_or_array(value: np.ndarray) -> Union[complex, np.ndarray]:
 Monomial = Tuple[complex, Tuple[int, ...]]
 
 
-@dataclass(frozen=True)
+def _monomial_tables(
+    polynomials: Sequence[Sequence[Monomial]], n: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """(B, M, D) factor and (B, M) coefficient tables of B monomial lists over n
+    operators: each list padded to M monomials with coefficient 0, and each
+    monomial's indices sorted and padded to degree D with the index n of the
+    constant 1."""
+    canon = [
+        [(complex(c), tuple(sorted(map(int, idx)))) for c, idx in monos] for monos in polynomials
+    ]
+    for monos in canon:
+        for _, idx in monos:
+            if idx and (idx[0] < 0 or idx[-1] >= n):
+                raise ValueError(f"monomial index out of range: {idx}")
+    n_mono = max(map(len, canon), default=0)
+    degree = max((len(idx) for monos in canon for _, idx in monos), default=0)
+    padded = [monos + [(0j, ())] * (n_mono - len(monos)) for monos in canon]
+    factors = np.array(
+        [[idx + (n,) * (degree - len(idx)) for _, idx in monos] for monos in padded], dtype=int
+    )
+    coeffs = np.array([[c for c, _ in monos] for monos in padded], dtype=complex)
+    return factors.reshape(len(canon), n_mono, degree), coeffs.reshape(len(canon), n_mono)
+
+
+def _read_monomials(factors: np.ndarray, coeffs: np.ndarray, n: int) -> tuple:
+    """The (coefficient, indices) rows of tables sorted along each monomial
+    (padding last), nested over their batch axes."""
+    if coeffs.ndim > 1:
+        return tuple(_read_monomials(f, c, n) for f, c in zip(factors, coeffs))
+    return tuple(
+        (c, tuple(i for i in row if i < n)) for c, row in zip(coeffs.tolist(), factors.tolist())
+    )
+
+
+def _leave_one_out(degree: int) -> np.ndarray:
+    """(D, D - 1) table whose row p lists the positions other than p."""
+    return (np.arange(degree)[:, None] + np.arange(1, degree)) % max(degree, 1)
+
+
+def _gather(x: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """x[..., index] for x (..., k) and an index table (..., M, D), with the
+    leading axes of the two broadcast against each other."""
+    lead = np.broadcast_shapes(x.shape[:-1], index.shape[:-2])
+    size = index.shape[-2] * index.shape[-1]
+    flat = np.broadcast_to(index, lead + index.shape[-2:]).reshape(lead + (size,))
+    out = np.take_along_axis(np.broadcast_to(x, lead + x.shape[-1:]), flat, axis=-1)
+    return out.reshape(lead + index.shape[-2:])
+
+
+@dataclass(frozen=True, init=False)
 class PolynomialFunction:
-    """Polynomial observable with exact (symbolic) monomial differentiation.
+    """Polynomial observable, or a stack of them, with exact (symbolic)
+    monomial differentiation.
 
     ``monomials`` is a list of (coefficient, index multiset); the multiset
     lists which operator expectation each factor refers to, repeats allowed.
     The empty tuple is the constant monomial.
 
-    The monomials are also held as index tables, padded to the largest
-    degree with an index of the constant 1, so that the value and the
-    gradient are a gather, a product and one contraction over any stack
-    (..., n) of argument vectors.
+    The monomials are held as index tables: ``_factors`` (..., M, D) gives
+    the operator index of each factor, padded to the largest degree with the
+    index n of the constant 1, and ``_coeffs`` (..., M) the coefficients.
+    The leading axes are a batch of polynomials over one operator stack
+    (:meth:`stack`); one polynomial has none.  A polynomial of a stack with
+    fewer monomials than M is padded with coefficient 0.  The value and the
+    gradient are a gather, a product and a contraction or a scatter over
+    any stack (..., n) of argument vectors, whose leading axes broadcast
+    against the batch.  The constructors sort each monomial's indices;
+    tables derived from them by sums, products and brackets are sorted only
+    when ``monomials`` reads them.
     """
 
     operators: np.ndarray
-    monomials: Tuple[Monomial, ...]
-    # (M, D) factor indices, padded with n (the constant 1); (M, D, D - 1)
-    # indices of the other factors of each position; coefficients (M,);
-    # (M, D, n) coefficient of each position on the argument it differentiates
-    _factors: np.ndarray = field(init=False, repr=False, compare=False)
-    _others: np.ndarray = field(init=False, repr=False, compare=False)
-    _coeffs: np.ndarray = field(init=False, repr=False, compare=False)
-    _slots: np.ndarray = field(init=False, repr=False, compare=False)
+    _factors: np.ndarray = field(repr=False, compare=False)
+    _coeffs: np.ndarray = field(repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        ops = _check_operators(self.operators)
-        n = len(ops)
-        canon = [(complex(c), tuple(map(int, idx))) for c, idx in self.monomials]
-        for _, idx in canon:
-            if idx and (min(idx) < 0 or max(idx) >= n):
-                raise ValueError(f"monomial index out of range: {tuple(sorted(idx))}")
-        degree = max((len(idx) for _, idx in canon), default=0)
-        factors = np.array(
-            [idx + (n,) * (degree - len(idx)) for _, idx in canon], dtype=int
-        ).reshape(len(canon), degree)
-        self._set_tables(ops, factors, np.array([c for c, _ in canon], dtype=complex))
+    def __init__(self, operators: Sequence[np.ndarray], monomials: Sequence[Monomial]) -> None:
+        ops = _check_operators(operators)
+        factors, coeffs = _monomial_tables([monomials], len(ops))
+        self._set_tables(ops, factors[0], coeffs[0])
+
+    @classmethod
+    def stack(
+        cls, operators: Sequence[np.ndarray], polynomials: Sequence[Sequence[Monomial]]
+    ) -> "PolynomialFunction":
+        """B polynomials, one monomial list each, over one operator stack
+        checked once; batch shape (B,)."""
+        ops = _check_operators(operators)
+        return cls._from_tables(ops, *_monomial_tables(polynomials, len(ops)))
 
     @classmethod
     def _from_tables(
         cls, operators: np.ndarray, factors: np.ndarray, coeffs: np.ndarray
     ) -> "PolynomialFunction":
-        """The polynomial over an already checked operator stack with the given
-        (M, D) factor table, padded with n, and coefficients (M,)."""
+        """The polynomials over an already checked operator stack with the
+        given (..., M, D) factor table, padded with n, and coefficients (..., M)."""
         poly = object.__new__(cls)
         poly._set_tables(operators, factors, coeffs)
         return poly
 
     def _set_tables(self, ops: np.ndarray, factors: np.ndarray, coeffs: np.ndarray) -> None:
-        """Canonical monomials (sorted indices, padding last) and the derived tables."""
-        n = len(ops)
-        factors = np.sort(factors, axis=1)
-        n_mono, degree = factors.shape
-        lengths = (factors < n).sum(axis=1).tolist()
-        canon = tuple(
-            (c, tuple(row[:k])) for c, row, k in zip(coeffs.tolist(), factors.tolist(), lengths)
-        )
-        leave_out = [[q for q in range(degree) if q != p] for p in range(degree)]
-        others = factors[:, np.array(leave_out, dtype=int).reshape(degree, max(degree - 1, 0))]
-        slots = np.zeros((n_mono, degree, n + 1), dtype=complex)
-        slots[np.arange(n_mono)[:, None], np.arange(degree), factors] = coeffs[:, None]
-        for name, value in (
-            ("operators", ops),
-            ("monomials", canon),
-            ("_factors", factors),
-            ("_others", others),
-            ("_coeffs", coeffs),
-            ("_slots", slots[..., :n]),
-        ):
+        for name, value in (("operators", ops), ("_factors", factors), ("_coeffs", coeffs)):
             object.__setattr__(self, name, value)
 
     @property
     def n_args(self) -> int:
         return len(self.operators)
+
+    @property
+    def batch_shape(self) -> Tuple[int, ...]:
+        """The leading axes of the tables: () for one polynomial."""
+        return self._coeffs.shape[:-1]
+
+    @property
+    def monomials(self) -> tuple:
+        """(coefficient, sorted indices) of each monomial, padding included;
+        for a stack, nested tuples over its batch axes."""
+        return _read_monomials(np.sort(self._factors), self._coeffs, self.n_args)
 
     def arguments(self, rho: StateLike) -> np.ndarray:
         """rho(A_j) for every operator, shape (..., n) for a state or a stack (..., 4, 4)."""
@@ -157,14 +205,28 @@ class PolynomialFunction:
         return np.concatenate([x, np.ones(x.shape[:-1] + (1,))], axis=-1)
 
     def g(self, x: np.ndarray) -> Union[complex, np.ndarray]:
-        """Value at argument vectors of shape (..., n); shape (...)."""
-        terms = np.prod(self._padded(x)[..., self._factors], axis=-1)
-        return np.einsum("...m,m->...", terms, self._coeffs)[()]
+        """Value at argument vectors of shape (..., n); the leading axes
+        broadcast with the batch."""
+        terms = np.prod(_gather(self._padded(x), self._factors), axis=-1)
+        return np.einsum("...m,...m->...", terms, self._coeffs)[()]
 
     def gradient_args(self, x: np.ndarray) -> np.ndarray:
-        """Exact gradient at argument vectors of shape (..., n); shape (..., n)."""
-        rest = np.prod(self._padded(x)[..., self._others], axis=-1)
-        return np.einsum("...mp,mpk->...k", rest, self._slots)
+        """Exact gradient at argument vectors of shape (..., n); shape (..., n),
+        the leading axes broadcast with the batch.
+
+        Each factor contributes its monomial's coefficient times the product
+        of the other factors to the entry of its own argument: a scatter-add
+        along the factor table, whose padding lands in a dropped entry n.
+        """
+        n = self.n_args
+        values = _gather(self._padded(x), self._factors)
+        rest = np.prod(values[..., _leave_one_out(values.shape[-1])], axis=-1)
+        lead = values.shape[:-2]
+        rows = np.arange(math.prod(lead)).reshape(lead + (1, 1)) * (n + 1)
+        grad = np.zeros(lead + (n + 1,), dtype=complex)
+        terms = rest * self._coeffs[..., None]
+        np.add.at(grad.reshape(-1), (rows + self._factors).ravel(), terms.ravel())
+        return grad[..., :n]
 
     def __call__(self, rho: StateLike) -> Union[complex, np.ndarray]:
         return _scalar_or_array(self.g(self.arguments(rho)))
@@ -177,10 +239,18 @@ class PolynomialFunction:
 
     def __add__(self, other: "PolynomialFunction") -> "PolynomialFunction":
         self._require_same_ops(other)
-        (m_self, d_self), (m_other, d_other) = self._factors.shape, other._factors.shape
-        factors = np.full((m_self + m_other, max(d_self, d_other)), self.n_args)
-        factors[:m_self, :d_self], factors[m_self:, :d_other] = self._factors, other._factors
-        coeffs = np.concatenate([self._coeffs, other._coeffs])
+        batch = np.broadcast_shapes(self.batch_shape, other.batch_shape)
+        (m_self, d_self), (m_other, d_other) = self._factors.shape[-2:], other._factors.shape[-2:]
+        factors = np.full(batch + (m_self + m_other, max(d_self, d_other)), self.n_args)
+        factors[..., :m_self, :d_self] = self._factors
+        factors[..., m_self:, :d_other] = other._factors
+        coeffs = np.concatenate(
+            [
+                np.broadcast_to(self._coeffs, batch + (m_self,)),
+                np.broadcast_to(other._coeffs, batch + (m_other,)),
+            ],
+            axis=-1,
+        )
         return PolynomialFunction._from_tables(self.operators, factors, coeffs)
 
     def __mul__(self, other: Union["PolynomialFunction", complex]) -> "PolynomialFunction":
@@ -190,13 +260,19 @@ class PolynomialFunction:
             )
         self._require_same_ops(other)
         # every pair of monomials, self's index running slowest
-        m_self, m_other = len(self._coeffs), len(other._coeffs)
+        left, right = self._factors[..., :, None, :], other._factors[..., None, :, :]
+        pairs = np.broadcast_shapes(left.shape[:-1], right.shape[:-1])
         factors = np.concatenate(
-            [np.repeat(self._factors, m_other, axis=0), np.tile(other._factors, (m_self, 1))],
-            axis=1,
+            [
+                np.broadcast_to(left, pairs + left.shape[-1:]),
+                np.broadcast_to(right, pairs + right.shape[-1:]),
+            ],
+            axis=-1,
         )
+        coeffs = self._coeffs[..., :, None] * other._coeffs[..., None, :]
+        rows = pairs[:-2] + (pairs[-2] * pairs[-1],)
         return PolynomialFunction._from_tables(
-            self.operators, factors, np.outer(self._coeffs, other._coeffs).ravel()
+            self.operators, factors.reshape(rows + factors.shape[-1:]), coeffs.reshape(rows)
         )
 
     __rmul__ = __mul__
@@ -205,7 +281,8 @@ class PolynomialFunction:
 def convex_derivative(f: PolynomialFunction, rho: StateLike) -> np.ndarray:
     """Centered operator-valued gradient; rho(convex_derivative(f, rho)) = 0.
 
-    ``rho`` may be a stack (..., 4, 4); the derivatives come back stacked.
+    ``rho`` may be a stack (..., 4, 4), whose leading axes broadcast with
+    the batch of f; the derivatives come back stacked.
     """
     d = model.density_matrix(rho)
     x = f.arguments(d)
@@ -218,7 +295,8 @@ def poisson_bracket(
 ) -> Union[complex, np.ndarray]:
     """{f, g}(rho) = rho(i [Df(rho), Dg(rho)]); antisymmetric and Leibniz.
 
-    One complex for one state, an array (...) for a stack (..., 4, 4).
+    One complex for one state and polynomial, an array for a stack (..., 4,
+    4) of states or a stack of polynomials, the leading axes broadcast.
     """
     d = model.density_matrix(rho)
     df = convex_derivative(f, d)
@@ -236,33 +314,40 @@ def bracket_polynomial(f: PolynomialFunction, g: PolynomialFunction) -> Polynomi
     identity parts drop out of the commutator).  The new operator list is
     f's, then g's, then i[A_j, B_k] at index n_f + n_g + j n_g + k; the
     tables are built from those of f and g, whose operators are already
-    checked.
+    checked.  Stacks of polynomials broadcast: a factor position that holds
+    an operator in some polynomial of the batch is paired in all of them,
+    with coefficient 0 where it is padding.
     """
     n_f, n_g = f.n_args, g.n_args
     comms = 1j * model.hermitian_commutator(f.operators[:, None], g.operators[None, :])
     ops = np.concatenate([f.operators, g.operators, comms.reshape(-1, 4, 4)])
     ops.setflags(write=False)
     n = len(ops)
-    # the factors (monomial, position) of f and of g, then every pair of them
-    mono_f, pos_f = np.nonzero(f._factors < n_f)
-    mono_g, pos_g = np.nonzero(g._factors < n_g)
+    batch = np.broadcast_shapes(f.batch_shape, g.batch_shape)
+    # the factor positions (monomial, position) of f and of g, then every pair of them
+    mono_f, pos_f = np.nonzero((f._factors < n_f).any(axis=tuple(range(f._factors.ndim - 2))))
+    mono_g, pos_g = np.nonzero((g._factors < n_g).any(axis=tuple(range(g._factors.ndim - 2))))
     if not (len(mono_f) and len(mono_g)):  # constants on one side: the zero polynomial
-        zero = np.zeros((1, 0), dtype=int), np.zeros(1, dtype=complex)
+        zero = np.zeros(batch + (1, 0), dtype=int), np.zeros(batch + (1,), dtype=complex)
         return PolynomialFunction._from_tables(ops, *zero)
     i = np.repeat(np.arange(len(mono_f)), len(mono_g))
     j = np.tile(np.arange(len(mono_g)), len(mono_f))
-    rest_f, rest_g = f._others[mono_f, pos_f], g._others[mono_g, pos_g]
-    comm = n_f + n_g + f._factors[mono_f, pos_f] * n_g
-    factors = np.concatenate(
-        [
-            np.where(rest_f == n_f, n, rest_f)[i],
-            np.where(rest_g == n_g, n, rest_g + n_f)[j],
-            (comm[i] + g._factors[mono_g, pos_g][j])[:, None],
-        ],
-        axis=1,
+    a, b = f._factors[..., mono_f, pos_f][..., i], g._factors[..., mono_g, pos_g][..., j]
+    rest_f = f._factors[..., mono_f[:, None], _leave_one_out(f._factors.shape[-1])[pos_f]]
+    rest_g = g._factors[..., mono_g[:, None], _leave_one_out(g._factors.shape[-1])[pos_g]]
+    parts = (
+        np.where(rest_f == n_f, n, rest_f)[..., i, :],
+        np.where(rest_g == n_g, n, rest_g + n_f)[..., j, :],
+        (n_f + n_g + a * n_g + b)[..., None],
     )
-    coeffs = f._coeffs[mono_f][i] * g._coeffs[mono_g][j]
-    return PolynomialFunction._from_tables(ops, factors, coeffs)
+    factors = np.concatenate(
+        [np.broadcast_to(p, batch + p.shape[-2:]) for p in parts], axis=-1
+    )
+    used = (a < n_f) & (b < n_g)
+    coeffs = f._coeffs[..., mono_f][..., i] * g._coeffs[..., mono_g][..., j]
+    return PolynomialFunction._from_tables(
+        ops, np.where(used[..., None], factors, n), np.where(used, coeffs, 0)
+    )
 
 
 def classical_hamiltonian(params: model.ModelParams) -> PolynomialFunction:

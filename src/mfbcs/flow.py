@@ -452,7 +452,8 @@ def dyson_phillips(
     estimate.  The certified truncation remainder is
     (M |t|)**(order+1) / (order+1)! with M the largest norm of B -> i[dh, B]
     on the coarse nodes, which is the spread max(e) - min(e) of the
-    eigenvalues of dh.
+    eigenvalues of dh, in closed form: dh is diagonal on the odd levels and
+    2x2 on the pair block.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -465,8 +466,14 @@ def dyson_phillips(
         return DysonResult(operator=a_op.copy(), remainder_bound=0.0, quadrature_error=0.0)
     grid = np.linspace(0.0, t, 2 * n_nodes + 1)
     field = np.broadcast_to(model.cooper_field(drive(grid)), grid.shape)
-    dh = model.decoupled_hamiltonian(params, field[::2])
-    m_norm = float(np.ptp(np.linalg.eigvalsh(dh), axis=-1).max())
+    # the spectrum of dh(c): the odd levels, and (e_p + e_q)/2 +- hypot((e_p - e_q)/2,
+    # gamma |c|) on the pair block; the spread grows with |c|, so its largest
+    # |c| on the coarse nodes sets M
+    e = np.diag(model.onsite_h(params)).real
+    p, q = fock.PAIR_ENTRY
+    radius = math.hypot(0.5 * (e[p] - e[q]), params.gamma * float(np.abs(field[::2]).max()))
+    levels = np.append(np.delete(e, [p, q]), 0.5 * (e[p] + e[q]) + np.array([-radius, radius]))
+    m_norm = float(np.ptp(levels))
     remainder = (m_norm * abs(t)) ** (order + 1) / math.factorial(order + 1)
 
     # the series is linear in a_op = A + iB and runs on the Hermitian parts

@@ -113,10 +113,8 @@ class OnSiteState:
             return a @ a.conj().T
 
         m = np.zeros((4, 4), dtype=complex)
-        even_idx = np.ix_([0, 3], [0, 3])
-        odd_idx = np.ix_([1, 2], [1, 2])
-        m[even_idx] = wishart(2)
-        m[odd_idx] = wishart(2)
+        m[::3, ::3] = wishart(2)  # rows and columns 0 and 3
+        m[1:3, 1:3] = wishart(2)
         m = m / np.trace(m).real
         m = (1.0 - RANK_FLOOR) * m + RANK_FLOOR * np.eye(4) / 4.0
         return cls.from_matrix(m)

@@ -369,6 +369,62 @@ def test_observables_on_a_stack_equal_the_per_state_loop(rng, shape):
         assert np.max(np.abs(grads[k] - poly.gradient_args(x[k]))) <= 1e-15
 
 
+def _with_batch_shape(poly, shape):
+    """A stack of polynomials with its batch axes reshaped to ``shape``."""
+    n_mono, degree = poly._factors.shape[-2:]
+    return PolynomialFunction._from_tables(
+        poly.operators,
+        poly._factors.reshape(shape + (n_mono, degree)),
+        poly._coeffs.reshape(shape + (n_mono,)),
+    )
+
+
+@pytest.mark.parametrize("shape", [(7,), (2, 3)])
+def test_polynomial_stacks_equal_the_per_polynomial_loop(rng, shape):
+    # stacks of polynomials of different lengths and degrees (padded in the
+    # tables) on a stack of states of the same shape, against one polynomial
+    # and one state at a time; a single polynomial broadcasts over the stack
+    size = math.prod(shape)
+    states = _state_stack(rng, shape)
+    lists = [[_random_polynomial(rng, _BRACKET_OPS).monomials for _ in range(size)] for _ in "fgh"]
+    f, g, h = (_with_batch_shape(PolynomialFunction.stack(_BRACKET_OPS, m), shape) for m in lists)
+    assert f.batch_shape == shape and len(f.monomials) == shape[0]
+    h_fn = classical_hamiltonian(model.ModelParams.random(rng))
+
+    def algebra(f, g, h):
+        return {
+            "f * g": f * g, "f + g": f + g, "2.5j h": 2.5j * h, "{g, h}": bracket_polynomial(g, h)
+        }
+
+    def brackets(f, g, h, rho):
+        return {
+            "{f, g}": poisson_bracket(f, g, rho),
+            "{f, g h}": poisson_bracket(f, g * h, rho),
+            "{f, {g, h}}": poisson_bracket(f, bracket_polynomial(g, h), rho),
+            "{h_fn, f}": poisson_bracket(h_fn, f, rho),
+        }
+
+    stacked = algebra(f, g, h)
+    stacked_values = {name: poly(states) for name, poly in stacked.items()}
+    stacked_grads = {
+        name: poly.gradient_args(poly.arguments(states)) for name, poly in stacked.items()
+    }
+    stacked_brackets = brackets(f, g, h, states)
+    for k, idx in enumerate(np.ndindex(shape)):
+        one = [PolynomialFunction(_BRACKET_OPS, m[k]) for m in lists]
+        rho = states[idx]
+        for name, poly in algebra(*one).items():
+            assert stacked[name].batch_shape == shape
+            value = poly(rho)
+            assert abs(stacked_values[name][idx] - value) <= 1e-15 * (1 + abs(value)), name
+            grad = poly.gradient_args(poly.arguments(rho))
+            scale = 1 + np.abs(grad).max()
+            assert np.max(np.abs(stacked_grads[name][idx] - grad)) <= 1e-15 * scale, name
+        for name, value in brackets(*one, rho).items():
+            assert stacked_brackets[name].shape == shape
+            assert abs(stacked_brackets[name][idx] - value) <= 1e-14 * (1 + abs(value)), name
+
+
 def test_polynomial_gradient_against_monomial_rule(rng):
     # d/dx_j of sum_m c_m prod x_i, term by term
     poly = PolynomialFunction(
@@ -498,3 +554,14 @@ def test_liouville_row_fails_above_the_exact_limit(monkeypatch):
     row = verification.check_liouville(0)
     assert not row.passed and row.threshold == 1e-5
     assert 1e-9 <= row.max_violation < 1e-5
+
+
+def test_poisson_algebra_row_fails_on_a_flipped_commutator(monkeypatch):
+    # i[B, A] in place of i[A, B] in bracket_polynomial: the Jacobi sum only
+    # changes sign, and the row fails on the bracket polynomial's value
+    commutator = model.hermitian_commutator
+    monkeypatch.setattr(model, "hermitian_commutator", lambda h, d: -commutator(h, d))
+    row = verification.check_poisson_algebra(0)
+    assert not row.passed and row.threshold == 1e-9
+    assert row.max_violation > 1.0
+    assert "antisym 0.0e+00" in row.detail

@@ -497,6 +497,45 @@ def test_product_site_series_particle_hole_symmetry(n):
         assert np.max(np.abs(mapped - [2.0 - d, -m, 1.0 - d + w, -z.conj()])) <= 4e-15
 
 
+#: Spin flip on (0, up, dn, updn): swaps up and down; the pair picks up a sign.
+SPIN_FLIP = np.array(
+    [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, -1]], dtype=complex
+)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 10**3, 10**9])
+def test_product_site_series_spin_flip_symmetry(n):
+    # F maps H_N(mu, h, lam, gamma) to H_N(mu, -h, lam, gamma), so from
+    # F^dagger rho F at -h the site series is d -> d, m -> -m, w -> w, z -> -z
+    rng = np.random.default_rng(100 + n)
+    times = np.linspace(-3.0, 3.0, 7)
+    for _ in range(30):
+        p = model.ModelParams.random(rng, gamma_max=3.0)
+        image = model.ModelParams(mu=p.mu, h=-p.h, lam=p.lam, gamma=p.gamma)
+        rho = OnSiteState.random_even(rng)
+        flipped = OnSiteState.from_matrix(SPIN_FLIP.conj().T @ rho.matrix @ SPIN_FLIP)
+        d, m, w, z = dynamics.product_site_series(n, p, rho, times)
+        mapped = dynamics.product_site_series(n, image, flipped, times)
+        assert np.max(np.abs(mapped - [d, -m, w, -z])) <= 1e-15
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 10**3, 10**9])
+def test_product_site_series_gauge_symmetry(n):
+    # G = e^{i phi N} commutes with H_N, so from G^dagger rho G the densities
+    # stay and the Cooper field turns by e^{-2 i phi}
+    rng = np.random.default_rng(200 + n)
+    times = np.linspace(-3.0, 3.0, 7)
+    for _ in range(30):
+        p = model.ModelParams.random(rng, gamma_max=3.0)
+        rho = OnSiteState.random_even(rng)
+        phi = rng.uniform(-np.pi, np.pi)
+        gauge = np.diag(np.exp(1j * phi * np.array([0, 1, 1, 2])))
+        turned = OnSiteState.from_matrix(gauge.conj().T @ rho.matrix @ gauge)
+        d, m, w, z = dynamics.product_site_series(n, p, rho, times)
+        mapped = dynamics.product_site_series(n, p, turned, times)
+        assert np.max(np.abs(mapped - [d, m, w, z * np.exp(-2j * phi)])) <= 1e-15
+
+
 def test_product_site_series_rejects_odd_state():
     odd = OnSiteState.pure([1.0, 1.0, 0.0, 0.0])
     with pytest.raises(ValueError, match="even"):

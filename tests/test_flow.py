@@ -797,6 +797,22 @@ def test_dyson_norm_is_generator_spectral_norm(rng):
         assert abs(m_norm - exact) <= 1e-13 * exact
 
 
+def test_dyson_norm_closed_form_matches_eigvalsh():
+    # M from the odd levels and the pair block's two eigenvalues against the
+    # largest spread of eigvalsh(dh) over the coarse nodes of a drive whose
+    # Cooper field changes modulus from node to node
+    rng = np.random.default_rng(41)
+    t = 0.3
+    for _ in range(200):
+        params = model.ModelParams.random(rng, gamma_max=4.0)
+        states = np.array([OnSiteState.random_even(rng).matrix for _ in range(5)])
+        res = dyson_phillips(params, lambda s: states, t, 1, np.eye(4), n_nodes=2)
+        m_norm = math.sqrt(2.0 * res.remainder_bound) / t
+        dh = model.effective_hamiltonian(params, states[::2])
+        exact = np.ptp(np.linalg.eigvalsh(dh), axis=-1).max()
+        assert abs(m_norm - exact) <= 1e-14 * exact
+
+
 def test_density_conservation_runs_no_oracle(monkeypatch):
     def no_oracle(*_args):
         raise AssertionError("density-conservation ran the Taylor flow oracle")

@@ -7,7 +7,7 @@ every traced benchmark run with it; this test fails first.
 import importlib.util
 from pathlib import Path
 
-from mfbcs import dynamics, fock, model
+from mfbcs import dynamics, fock, model, verification
 from mfbcs.states import OnSiteState
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -56,3 +56,20 @@ def test_tracer_labels_a_pure_state_evolution():
     assert names.count("dynamics.pure_product_state") == 1
     assert names.count("dynamics.evolve_expectation.spectral_pure") == 2
     assert names.count("dynamics.Propagator.from_matrix") == 2
+
+
+def test_tracer_records_the_stacked_poisson_algebra_row():
+    # the row's stacked bracket calls still go through the traced names, so
+    # the benchmark's classical and verification spans see them: seven calls,
+    # each on the whole stack of 100 states
+    spans = _load_spans()
+    recorder = spans.Recorder()
+    uninstall = spans.install(recorder)
+    try:
+        row = verification.check_poisson_algebra(0)
+    finally:
+        uninstall()
+    assert row.passed
+    names = [span[0] for span in recorder.spans]
+    assert names.count("verification.check_poisson_algebra") == 1
+    assert names.count("classical.poisson_bracket") == 7
