@@ -126,7 +126,7 @@ def _gather(x: np.ndarray, index: np.ndarray) -> np.ndarray:
     return out.reshape(lead + index.shape[-2:])
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class PolynomialFunction:
     """Polynomial observable, or a stack of them, with exact (symbolic)
     monomial differentiation.
@@ -314,9 +314,11 @@ def bracket_polynomial(f: PolynomialFunction, g: PolynomialFunction) -> Polynomi
     identity parts drop out of the commutator).  The new operator list is
     f's, then g's, then i[A_j, B_k] at index n_f + n_g + j n_g + k; the
     tables are built from those of f and g, whose operators are already
-    checked.  Stacks of polynomials broadcast: a factor position that holds
-    an operator in some polynomial of the batch is paired in all of them,
-    with coefficient 0 where it is padding.
+    checked.  Stacks of polynomials broadcast: the factor positions that
+    hold an operator in some polynomial of the batch are paired in all of
+    them; each polynomial's own pairs come first, the rest are padding with
+    coefficient 0, and the tables keep as many rows as the longest list of
+    pairs.  A single polynomial keeps every pair, in product-rule order.
     """
     n_f, n_g = f.n_args, g.n_args
     comms = 1j * model.hermitian_commutator(f.operators[:, None], g.operators[None, :])
@@ -340,11 +342,15 @@ def bracket_polynomial(f: PolynomialFunction, g: PolynomialFunction) -> Polynomi
         np.where(rest_g == n_g, n, rest_g + n_f)[..., j, :],
         (n_f + n_g + a * n_g + b)[..., None],
     )
-    factors = np.concatenate(
-        [np.broadcast_to(p, batch + p.shape[-2:]) for p in parts], axis=-1
+    factors = np.concatenate([np.broadcast_to(p, batch + p.shape[-2:]) for p in parts], axis=-1)
+    used = np.broadcast_to((a < n_f) & (b < n_g), batch + i.shape)
+    coeffs = np.broadcast_to(
+        f._coeffs[..., mono_f][..., i] * g._coeffs[..., mono_g][..., j], used.shape
     )
-    used = (a < n_f) & (b < n_g)
-    coeffs = f._coeffs[..., mono_f][..., i] * g._coeffs[..., mono_g][..., j]
+    # each polynomial's own pairs first, the tables cut to the longest list of them
+    first = np.argsort(~used, axis=-1, kind="stable")[..., : max(int(used.sum(-1).max()), 1)]
+    used, coeffs = (np.take_along_axis(t, first, axis=-1) for t in (used, coeffs))
+    factors = np.take_along_axis(factors, first[..., None], axis=-2)
     return PolynomialFunction._from_tables(
         ops, np.where(used[..., None], factors, n), np.where(used, coeffs, 0)
     )

@@ -361,7 +361,7 @@ def _random_monomials(rng: np.random.Generator, n_ops: int) -> Tuple[classical.M
     monos = []
     for _ in range(int(rng.integers(1, 4))):
         degree = int(rng.integers(0, 4))
-        idx = tuple(int(i) for i in rng.integers(0, n_ops, size=degree))
+        idx = tuple(rng.integers(0, n_ops, size=degree).tolist())
         monos.append((complex(rng.normal()), idx))
     return tuple(monos)
 
