@@ -116,16 +116,6 @@ def _leave_one_out(degree: int) -> np.ndarray:
     return (np.arange(degree)[:, None] + np.arange(1, degree)) % max(degree, 1)
 
 
-def _gather(x: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """x[..., index] for x (..., k) and an index table (..., M, D), with the
-    leading axes of the two broadcast against each other."""
-    lead = np.broadcast_shapes(x.shape[:-1], index.shape[:-2])
-    size = index.shape[-2] * index.shape[-1]
-    flat = np.broadcast_to(index, lead + index.shape[-2:]).reshape(lead + (size,))
-    out = np.take_along_axis(np.broadcast_to(x, lead + x.shape[-1:]), flat, axis=-1)
-    return out.reshape(lead + index.shape[-2:])
-
-
 @dataclass(frozen=True, init=False, eq=False)
 class PolynomialFunction:
     """Polynomial observable, or a stack of them, with exact (symbolic)
@@ -199,15 +189,21 @@ class PolynomialFunction:
         """rho(A_j) for every operator, shape (..., n) for a state or a stack (..., 4, 4)."""
         return np.einsum("...ij,nji->...n", model.density_matrix(rho), self.operators).real
 
-    def _padded(self, x: np.ndarray) -> np.ndarray:
-        """The arguments with the constant 1 appended at index n."""
+    def _factor_values(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Each factor's value at argument vectors (..., n), shape (..., M, D)
+        with the leading axes of x and of the batch broadcast, and its flat
+        position in those vectors with the constant 1 appended at index n."""
         x = np.asarray(x)
-        return np.concatenate([x, np.ones(x.shape[:-1] + (1,))], axis=-1)
+        padded = np.concatenate([x, np.ones(x.shape[:-1] + (1,))], axis=-1)
+        lead = np.broadcast_shapes(x.shape[:-1], self.batch_shape)
+        rows = np.arange(math.prod(lead)).reshape(lead + (1, 1)) * (self.n_args + 1)
+        index = rows + self._factors
+        return np.broadcast_to(padded, lead + padded.shape[-1:]).reshape(-1)[index], index
 
     def g(self, x: np.ndarray) -> Union[complex, np.ndarray]:
         """Value at argument vectors of shape (..., n); the leading axes
         broadcast with the batch."""
-        terms = np.prod(_gather(self._padded(x), self._factors), axis=-1)
+        terms = np.prod(self._factor_values(x)[0], axis=-1)
         return np.einsum("...m,...m->...", terms, self._coeffs)[()]
 
     def gradient_args(self, x: np.ndarray) -> np.ndarray:
@@ -216,17 +212,14 @@ class PolynomialFunction:
 
         Each factor contributes its monomial's coefficient times the product
         of the other factors to the entry of its own argument: a scatter-add
-        along the factor table, whose padding lands in a dropped entry n.
+        to the factors' flat positions, whose padding lands in a dropped
+        entry n.
         """
-        n = self.n_args
-        values = _gather(self._padded(x), self._factors)
+        values, index = self._factor_values(x)
         rest = np.prod(values[..., _leave_one_out(values.shape[-1])], axis=-1)
-        lead = values.shape[:-2]
-        rows = np.arange(math.prod(lead)).reshape(lead + (1, 1)) * (n + 1)
-        grad = np.zeros(lead + (n + 1,), dtype=complex)
-        terms = rest * self._coeffs[..., None]
-        np.add.at(grad.reshape(-1), (rows + self._factors).ravel(), terms.ravel())
-        return grad[..., :n]
+        grad = np.zeros(values.shape[:-2] + (self.n_args + 1,), dtype=complex)
+        np.add.at(grad.reshape(-1), index.ravel(), (rest * self._coeffs[..., None]).ravel())
+        return grad[..., :-1]
 
     def __call__(self, rho: StateLike) -> Union[complex, np.ndarray]:
         return _scalar_or_array(self.g(self.arguments(rho)))
