@@ -194,11 +194,12 @@ class PolynomialFunction:
         with the leading axes of x and of the batch broadcast, and its flat
         position in those vectors with the constant 1 appended at index n."""
         x = np.asarray(x)
-        padded = np.concatenate([x, np.ones(x.shape[:-1] + (1,))], axis=-1)
         lead = np.broadcast_shapes(x.shape[:-1], self.batch_shape)
+        padded = np.ones(lead + (self.n_args + 1,), dtype=np.result_type(x, float))
+        padded[..., :-1] = x
         rows = np.arange(math.prod(lead)).reshape(lead + (1, 1)) * (self.n_args + 1)
         index = rows + self._factors
-        return np.broadcast_to(padded, lead + padded.shape[-1:]).reshape(-1)[index], index
+        return padded.reshape(-1)[index], index
 
     def g(self, x: np.ndarray) -> Union[complex, np.ndarray]:
         """Value at argument vectors of shape (..., n); the leading axes
