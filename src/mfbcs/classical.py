@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -135,12 +135,15 @@ class PolynomialFunction:
     any stack (..., n) of argument vectors, whose leading axes broadcast
     against the batch.  The constructors sort each monomial's indices;
     tables derived from them by sums, products and brackets are sorted only
-    when ``monomials`` reads them.
+    when ``monomials`` reads them.  The gradient and the bracket also need
+    the positions of the other factors of a monomial, a (D, D - 1) table
+    built on the first call that needs it and kept with the others.
     """
 
     operators: np.ndarray
     _factors: np.ndarray = field(repr=False, compare=False)
     _coeffs: np.ndarray = field(repr=False, compare=False)
+    _others: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def __init__(self, operators: Sequence[np.ndarray], monomials: Sequence[Monomial]) -> None:
         ops = _check_operators(operators)
@@ -167,8 +170,16 @@ class PolynomialFunction:
         return poly
 
     def _set_tables(self, ops: np.ndarray, factors: np.ndarray, coeffs: np.ndarray) -> None:
-        for name, value in (("operators", ops), ("_factors", factors), ("_coeffs", coeffs)):
+        for name, value in (
+            ("operators", ops), ("_factors", factors), ("_coeffs", coeffs), ("_others", None)
+        ):
             object.__setattr__(self, name, value)
+
+    def _leave_one_out_index(self) -> np.ndarray:
+        """:func:`_leave_one_out` at the degree of the tables, built once."""
+        if self._others is None:
+            object.__setattr__(self, "_others", _leave_one_out(self._factors.shape[-1]))
+        return self._others
 
     @property
     def n_args(self) -> int:
@@ -194,7 +205,9 @@ class PolynomialFunction:
         with the leading axes of x and of the batch broadcast, and its flat
         position in those vectors with the constant 1 appended at index n."""
         x = np.asarray(x)
-        lead = np.broadcast_shapes(x.shape[:-1], self.batch_shape)
+        batch = self.batch_shape
+        # np.broadcast_shapes costs a few microseconds, most of a one-state call
+        lead = np.broadcast_shapes(x.shape[:-1], batch) if batch else x.shape[:-1]
         padded = np.ones(lead + (self.n_args + 1,), dtype=np.result_type(x, float))
         padded[..., :-1] = x
         rows = np.arange(math.prod(lead)).reshape(lead + (1, 1)) * (self.n_args + 1)
@@ -217,7 +230,7 @@ class PolynomialFunction:
         entry n.
         """
         values, index = self._factor_values(x)
-        rest = np.prod(values[..., _leave_one_out(values.shape[-1])], axis=-1)
+        rest = np.prod(values[..., self._leave_one_out_index()], axis=-1)
         grad = np.zeros(values.shape[:-2] + (self.n_args + 1,), dtype=complex)
         np.add.at(grad.reshape(-1), index.ravel(), (rest * self._coeffs[..., None]).ravel())
         return grad[..., :-1]
@@ -329,8 +342,8 @@ def bracket_polynomial(f: PolynomialFunction, g: PolynomialFunction) -> Polynomi
     i = np.repeat(np.arange(len(mono_f)), len(mono_g))
     j = np.tile(np.arange(len(mono_g)), len(mono_f))
     a, b = f._factors[..., mono_f, pos_f][..., i], g._factors[..., mono_g, pos_g][..., j]
-    rest_f = f._factors[..., mono_f[:, None], _leave_one_out(f._factors.shape[-1])[pos_f]]
-    rest_g = g._factors[..., mono_g[:, None], _leave_one_out(g._factors.shape[-1])[pos_g]]
+    rest_f = f._factors[..., mono_f[:, None], f._leave_one_out_index()[pos_f]]
+    rest_g = g._factors[..., mono_g[:, None], g._leave_one_out_index()[pos_g]]
     parts = (
         np.where(rest_f == n_f, n, rest_f)[..., i, :],
         np.where(rest_g == n_g, n, rest_g + n_f)[..., j, :],

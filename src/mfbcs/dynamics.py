@@ -18,23 +18,30 @@ while d, m and w stay at their initial values.  Each time point costs O(1).
 
 Everything else here is the dense side, up to fock.DENSE_SITE_LIMIT = 5
 sites (dimension 1024): the oracle the closed form is checked against,
-Gibbs states and pressures.  The last two are diagonalized one (N_up, N_dn)
-sector at a time (:func:`mfbcs.model.sector_blocks`), as every term of H_N
-conserves both numbers.  :func:`evolve_expectation` evaluates a list of
-observables on a whole time grid at once.  It rotates the initial state and
-each observable into the eigenbasis of H once, D~ = U^dagger D U and
-A~ = U^dagger A U; every time point is then the phase sum
+Gibbs states and pressures.  Every term of H_N conserves N_up and N_dn, so
+all of them diagonalize H_N one (N_up, N_dn) sector at a time
+(:func:`mfbcs.model.sector_blocks`); at N = 5 the largest block is 100 x
+100.  :func:`evolve_expectation` evaluates a list of observables on a whole
+time grid at once, from a pure vector or a density matrix alike.  With
+U_s, w_s the eigenvectors and energies of sector s, it rotates each block
+of the state that an observable couples once, D~_cr = U_c^dagger D_cr U_r
+(psi~_c psi~_r^dagger for a pure state, psi~_s = U_s^dagger psi_s), and
+each coupled block of the observable, A~_rc = U_r^dagger A_rc U_c.  d, m
+and w stay inside a sector; P = a_dn a_up maps (N_up, N_dn) to
+(N_up - 1, N_dn - 1).  Every time point is then a phase sum over the
+coupled pairs,
 
-    Trace(A D_t) = sum_ab A~_ba D~_ab e^{-i (w_a - w_b) t},
+    Trace(A D_t) = sum_rc sum_ab (A~_rc)_ba (D~_cr)_ab e^{-i (w_c,a - w_r,b) t},
 
-shared by all observables (for a pure state, psi_t = U e^{-i w t} U^dagger
-psi for many t from one product).  The grid is taken in blocks of
-TIME_BLOCK points, so memory does not grow with its length.  The
-dense side imports scipy on its first call; the closed form never loads it.
+and no 4**N x 4**N array is formed beyond the caller's own.  The grid is
+taken in blocks of TIME_BLOCK points, so memory does not grow with its
+length.  The dense side imports scipy on its first call; the closed form
+never loads it.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence, Union
 
@@ -50,7 +57,7 @@ if TYPE_CHECKING:
 RECONSTRUCTION_TOL = 1e-10
 STATE_TOL = 1e-10
 #: Time points per batched product in the spectral backend; working memory
-#: is a few TIME_BLOCK x 4**N arrays whatever the length of the grid.
+#: is a TIME_BLOCK x 4**N array of phases whatever the length of the grid.
 TIME_BLOCK = 256
 #: Largest site count of :func:`product_site_series`.  N - 1 and gamma t / N
 #: stay exact to one rounding far below it (floats hold integers to 2**53).
@@ -86,10 +93,6 @@ class Propagator:
                 f"eigendecomposition reconstruction error {recon:.2e} too large"
             )
         return cls(eigenvalues=w, eigenvectors=u)
-
-    @classmethod
-    def from_model(cls, n_sites: int, params: model.ModelParams) -> "Propagator":
-        return cls.from_matrix(model.hamiltonian(n_sites, params))
 
 
 @dataclass(frozen=True)
@@ -274,30 +277,51 @@ def _time_blocks(n_times: int):
     return (slice(k, k + TIME_BLOCK) for k in range(0, n_times, TIME_BLOCK))
 
 
-def _pure_series(ops: Sequence, states: np.ndarray) -> np.ndarray:
-    """<psi_k|A|psi_k> for each observable A and each row psi_k of ``states``."""
-    cols = states.T
-    out = np.empty((len(ops), states.shape[0]), dtype=complex)
-    for j, a_op in enumerate(ops):
-        out[j] = np.einsum("dk,dk->k", cols.conj(), a_op @ cols)
-    return out
+def _sector_spectra(n_sites: int, params: model.ModelParams) -> list:
+    """(basis indices, Propagator) of H_N on each (N_up, N_dn) sector."""
+    return [(idx, Propagator.from_matrix(h)) for idx, h in model.sector_blocks(n_sites, params)]
 
 
-def _mixed_series(
-    prop: Propagator, dmat: np.ndarray, ops: Sequence, times: np.ndarray
-) -> np.ndarray:
-    """Trace(A D_t) as a phase sum over the eigenbasis of the propagator."""
-    u, u_dag = prop.eigenvectors, prop.eigenvectors.conj().T
-    rho = u_dag @ dmat @ u
-    out = np.empty((len(ops), len(times)), dtype=complex)
+def _coupled_entries(ops: Sequence, sectors: Sequence[np.ndarray]) -> dict:
+    """{(r, c): [(j, rows, cols, values), ...]}: the stored entries of
+    observable j between row sector r and column sector c, for each pair of
+    sectors that it couples, with rows and columns counted inside the sectors.
+    """
+    # imported here, not at module level: scipy.sparse takes ~0.2 s to load
+    import scipy.sparse as sp
+
+    sizes = np.array([len(idx) for idx in sectors])
+    order = np.concatenate(sectors)
+    label, position = np.empty_like(order), np.empty_like(order)
+    label[order] = np.repeat(np.arange(len(sizes)), sizes)
+    position[order] = np.arange(len(order)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    coupled = defaultdict(list)
     for j, a_op in enumerate(ops):
-        weights = (u_dag @ (a_op @ u)).T * rho
-        for blk in _time_blocks(len(times)):
-            phases = np.exp(-1j * np.outer(times[blk], prop.eigenvalues))
-            out[j, blk] = np.einsum("tb,tb->t", phases @ weights, phases.conj())
-        # freed before the next A~ is built: two live weights cost 16 MB at N=5
-        del weights
-    return out
+        entries = sp.coo_matrix(a_op)
+        entries.eliminate_zeros()
+        row, col = entries.row, entries.col
+        pair = label[row] * len(sizes) + label[col]
+        grouped = np.argsort(pair, kind="stable")
+        keys, starts = np.unique(pair[grouped], return_index=True)
+        for key, chunk in zip(keys, np.split(grouped, starts[1:])):
+            coupled[divmod(int(key), len(sizes))].append(
+                (j, position[row[chunk]], position[col[chunk]], entries.data[chunk])
+            )
+    return coupled
+
+
+def _rotated_state_block(initial: GlobalState, spectra: list, c: int, r: int):
+    """D~_cr = U_c^dagger D_cr U_r, or None where D_cr vanishes; for a pure
+    state psi~_c psi~_r^dagger with psi~_s = U_s^dagger psi_s."""
+    (idx_c, prop_c), (idx_r, prop_r) = spectra[c], spectra[r]
+    u_c_dag, u_r = prop_c.eigenvectors.conj().T, prop_r.eigenvectors
+    if initial.kind == "pure":
+        psi_c, psi_r = initial.data[idx_c], initial.data[idx_r]
+        if not (psi_c.any() and psi_r.any()):
+            return None
+        return np.outer(u_c_dag @ psi_c, psi_r.conj() @ u_r)
+    block = initial.data[np.ix_(idx_c, idx_r)]
+    return u_c_dag @ block @ u_r if block.any() else None
 
 
 def evolve_expectation(
@@ -313,7 +337,8 @@ def evolve_expectation(
     Returns shape (len(observables), len(times)).  Each observable may be a
     full 4**N matrix or a 4x4 one-site matrix (placed at site 0); a single
     matrix must be wrapped as ``[op]``.  The one backend, "spectral",
-    diagonalizes H once; "auto" picks it up to the dense limit.
+    diagonalizes H one (N_up, N_dn) sector at a time; "auto" picks it up
+    to the dense limit.  A pure state is never made a density matrix.
     """
     # imported here, not at module level: scipy.sparse takes ~0.2 s to load
     import scipy.sparse as sp
@@ -326,19 +351,31 @@ def evolve_expectation(
     times = np.asarray(times, dtype=float)
     if backend == "auto":
         backend = propagation_backend(n_sites, initial.kind)
-    if backend == "spectral":
-        fock.check_site_count(n_sites)
-        prop = Propagator.from_model(n_sites, params)
-        if initial.kind == "mixed":
-            return _mixed_series(prop, initial.data, ops, times)
-        u = prop.eigenvectors
-        psi = u.conj().T @ initial.data
-        out = np.empty((len(ops), len(times)), dtype=complex)
-        for blk in _time_blocks(len(times)):
-            phases = np.exp(-1j * np.outer(times[blk], prop.eigenvalues))
-            out[:, blk] = _pure_series(ops, (phases * psi) @ u.T)
-        return out
-    raise ValueError(f"unknown backend {backend!r}")
+    if backend != "spectral":
+        raise ValueError(f"unknown backend {backend!r}")
+    fock.check_site_count(n_sites)
+    spectra = _sector_spectra(n_sites, params)
+    # the eigenvalues of every sector in one vector, sector s at columns[s]
+    sizes = np.array([len(idx) for idx, _ in spectra])
+    columns = [slice(a, a + n) for a, n in zip(np.cumsum(sizes) - sizes, sizes)]
+    energies = np.concatenate([prop.eigenvalues for _, prop in spectra])
+    # Trace(A_rc D_t,cr) = sum_ab W_ab e^{-i w_a t} e^{i w_b t} with W = A~_rc^T * D~_cr,
+    # A~_rc = U_r^dagger A_rc U_c summed entry by entry
+    pieces = []
+    for (r, c), entries in _coupled_entries(ops, [idx for idx, _ in spectra]).items():
+        d_block = _rotated_state_block(initial, spectra, c, r)
+        if d_block is None:
+            continue
+        u_r, u_c = spectra[r][1].eigenvectors, spectra[c][1].eigenvectors
+        for j, rows, cols, values in entries:
+            a_block = u_r[rows].conj().T @ (values[:, None] * u_c[cols])
+            pieces.append((j, columns[c], columns[r], a_block.T * d_block))
+    out = np.zeros((len(ops), len(times)), dtype=complex)
+    for blk in _time_blocks(len(times)):
+        phases = np.exp(-1j * np.outer(times[blk], energies))
+        for j, cols, rows, weights in pieces:
+            out[j, blk] += np.einsum("tb,tb->t", phases[:, cols] @ weights, phases[:, rows].conj())
+    return out
 
 
 def gibbs_state(
@@ -348,7 +385,7 @@ def gibbs_state(
 
     The weights share one shift, the least eigenvalue, against overflow.
     """
-    blocks = [(idx, Propagator.from_matrix(h)) for idx, h in model.sector_blocks(n_sites, params)]
+    blocks = _sector_spectra(n_sites, params)
     shift = min(prop.eigenvalues[0] for _, prop in blocks)
     out = np.zeros((4**n_sites, 4**n_sites), dtype=complex)
     for idx, prop in blocks:

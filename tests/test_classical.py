@@ -432,7 +432,12 @@ def test_polynomial_gradient_against_monomial_rule(rng):
     )
     x = rng.normal(size=2)
     expected = np.array([4.0j * x[0] * x[1], 2.0j * x[0] ** 2 - 1.0])
-    assert np.max(np.abs(poly.gradient_args(x) - expected)) <= 1e-14
+    first = poly.gradient_args(x)
+    assert np.max(np.abs(first - expected)) <= 1e-14
+    # the leave-one-out table is built on the first gradient and kept
+    table = poly._others
+    assert table is not None and table.shape == (3, 2)
+    assert np.array_equal(poly.gradient_args(x), first) and poly._others is table
     assert abs(poly.g(x) - (3.0 + 2.0j * x[0] ** 2 * x[1] - x[1])) <= 1e-14
     const = PolynomialFunction((classical.PAIR_X,), ((2.5, ()),))
     assert const.g(x[:1]) == 2.5 and np.array_equal(const.gradient_args(x[:1]), [0.0])

@@ -2,6 +2,7 @@ import inspect
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,11 @@ from mfbcs.states import OnSiteState, ProductMixture
 
 from conftest import decoupled_hamiltonian_n, decoupled_pressure_n, total_number
 from test_model import PRESSURE_N2_ORACLE
+
+
+def _full_propagator(n, params):
+    """One eigh of the whole 4**N matrix H_N: the full-basis reference."""
+    return dynamics.Propagator.from_matrix(model.hamiltonian(n, params))
 
 
 def _evolve_density(prop, dmat, t):
@@ -132,7 +138,7 @@ def test_single_site_against_independent_ode(rng):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_heisenberg_equals_schroedinger(n, rng):
     params = model.ModelParams.random(rng)
-    prop = dynamics.Propagator.from_model(n, params)
+    prop = _full_propagator(n, params)
     rho = OnSiteState.random_even(rng)
     initial = dynamics.product_state(n, rho)
     a = fock.embed_local(n, n - 1, fock.N_UP @ fock.N_DN).toarray()
@@ -193,7 +199,7 @@ def test_sector_gibbs_state_matches_full_eigh(n, rng):
     params = model.ModelParams.random(rng, gamma_max=8.0)
     beta = 1.7
     state = dynamics.gibbs_state(n, params, dynamics.GibbsSpec(beta=beta))
-    full = _gibbs_density(dynamics.Propagator.from_model(n, params), beta)
+    full = _gibbs_density(_full_propagator(n, params), beta)
     assert np.max(np.abs(state.density() - full)) <= 1e-12
 
 
@@ -255,7 +261,7 @@ def test_spectral_mixed_matches_per_time_oracle(rng):
         [(0.3, OnSiteState.random_even(rng)), (0.7, OnSiteState.pair_superposition(0.4, 1.1))]
     )
     initial = dynamics.product_state(3, mix)
-    prop = dynamics.Propagator.from_model(3, params)
+    prop = _full_propagator(3, params)
     times = [0.0, 0.7, -1.2, 2.5, 0.7]
     series = dynamics.evolve_expectation(
         3, params, initial, fock.SITE_OBSERVABLES.values(), times, backend="spectral"
@@ -288,7 +294,7 @@ def test_spectral_long_grid_matches_per_time_oracle(rng, kind):
         initial = dynamics.product_state(2, OnSiteState.random_even(rng))
     else:
         initial = dynamics.pure_product_state(2, [np.cos(0.6), 0.0, 0.0, np.sin(0.6)])
-    prop = dynamics.Propagator.from_model(2, params)
+    prop = _full_propagator(2, params)
     times = np.linspace(-3.0, 5.0, 2 * dynamics.TIME_BLOCK + 3)
     series = dynamics.evolve_expectation(
         2, params, initial, fock.SITE_OBSERVABLES.values(), times, backend="spectral"
@@ -299,6 +305,65 @@ def test_spectral_long_grid_matches_per_time_oracle(rng, kind):
     )
     assert series.shape == (4, len(times))
     assert np.max(np.abs(series - oracle)) <= 1e-12
+
+
+def _full_basis_series(n, params, initial, ops, times):
+    """Trace(A D_t) from one eigh of the whole 4**N matrix H_N: the state and
+    each dense observable rotated into the full eigenbasis, then a phase sum
+    per time (a pure state as psi_t = U e^{-iwt} U^dagger psi)."""
+    prop = _full_propagator(n, params)
+    u, u_dag = prop.eigenvectors, prop.eigenvectors.conj().T
+    phases = np.exp(-1j * np.outer(times, prop.eigenvalues))
+    if initial.kind == "pure":
+        states = (phases * (u_dag @ initial.data)) @ u.T
+        return np.array([np.einsum("kd,kd->k", states.conj(), states @ a.T) for a in ops])
+    rho = u_dag @ initial.data @ u
+    return np.array(
+        [np.einsum("tb,tb->t", phases @ ((u_dag @ a @ u).T * rho), phases.conj()) for a in ops]
+    )
+
+
+@pytest.mark.parametrize("kind", ["mixed", "pure"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_sector_evolution_matches_full_basis_reference(n, kind, rng):
+    # a grid over two time blocks, the second one partial
+    times = np.linspace(-3.0, 5.0, dynamics.TIME_BLOCK + 9)
+    params = model.ModelParams.random(rng)
+    rho = OnSiteState.random_even(rng)
+    if kind == "mixed":
+        initial = dynamics.product_state(n, rho)
+    else:
+        # an eigenvector of an even state lies in one parity sector
+        initial = dynamics.pure_product_state(n, np.linalg.eigh(rho.matrix)[1][:, -1])
+    series = dynamics.evolve_expectation(
+        n, params, initial, fock.SITE_OBSERVABLES.values(), times
+    )
+    reference = _full_basis_series(n, params, initial, _site_ops(n), times)
+    assert series.shape == (4, len(times))
+    assert np.max(np.abs(series - reference)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_sector_evolution_of_entangled_states_and_dense_observables(n, rng):
+    # no product structure: coherences between every pair of sectors, in the
+    # states and in a dense observable of unit norm
+    dim = 4**n
+    times = np.linspace(-2.0, 3.0, 11)
+    params = model.ModelParams.random(rng)
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    dense_op = (a + a.conj().T) / np.linalg.norm(a + a.conj().T, 2)
+    vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    dmat = g @ g.conj().T
+    states = (
+        dynamics.GlobalState(n_sites=n, kind="pure", data=vec / np.linalg.norm(vec)),
+        dynamics.GlobalState(n_sites=n, kind="mixed", data=dmat / np.trace(dmat).real),
+    )
+    pair = fock.embed_local(n, 0, fock.PAIR)
+    for initial in states:
+        series = dynamics.evolve_expectation(n, params, initial, [dense_op, pair], times)
+        reference = _full_basis_series(n, params, initial, [dense_op, pair.toarray()], times)
+        assert np.max(np.abs(series - reference)) <= 1e-12
 
 
 def test_evolve_expectation_observable_forms(rng):
@@ -585,9 +650,8 @@ def test_fv_convergence_passing_row_is_unchanged():
     assert (result.max_violation, result.threshold) == (0.0, 0.0)
 
 
-def test_pressure_trend_row_reports_sector_disagreement(monkeypatch):
-    # mutation: one (N_up, N_dn) block assembled with its diagonal off by 1e-9;
-    # the trend still holds, so the row must carry the sector vs dense gap
+def _misassembled_sector_blocks(monkeypatch):
+    # one (N_up, N_dn) block assembled with its diagonal off by 1e-9
     original = model.sector_blocks
 
     def misassembled(n_sites, params):
@@ -597,6 +661,58 @@ def test_pressure_trend_row_reports_sector_disagreement(monkeypatch):
         return blocks
 
     monkeypatch.setattr(model, "sector_blocks", misassembled)
+
+
+def test_fv_convergence_row_reports_sector_misassembly(monkeypatch):
+    # the dense oracle evolves by the sector blocks: the all-doubly-occupied
+    # block gains a phase, and the closed form no longer agrees with it
+    _misassembled_sector_blocks(monkeypatch)
+    result = verification.check_fv_convergence()
+    assert not result.passed
+    assert result.threshold == verification.CLOSED_FORM_TOL
+    assert result.max_violation > result.threshold
+
+
+def test_fv_convergence_row_reports_an_oracle_state_apart_from_rho0(monkeypatch):
+    # mutation: rho0 turned by a small phase, while the oracle's product
+    # vector keeps the untouched one-site factor
+    original = OnSiteState.pair_superposition
+    monkeypatch.setattr(
+        OnSiteState, "pair_superposition",
+        classmethod(lambda cls, angle, phase=0.0: original(angle, phase + 1e-3)),
+    )
+    result = verification.check_fv_convergence()
+    assert not result.passed
+    assert result.threshold == verification.ORACLE_STATE_TOL
+    assert result.max_violation > 1e-4
+
+
+def test_fv_convergence_dense_oracle_peak_memory(monkeypatch):
+    # the oracle evolves the product vector sector by sector: no 4**N x 4**N
+    # array at N = 4 (a density matrix there alone takes 1 MB); 0.30 MB
+    # measured, against 6.45 MB for the density-matrix oracle
+    verification.check_fv_convergence()  # the per-N terms, built once, are not counted
+    original = dynamics.evolve_expectation
+    peaks = {}
+
+    def traced(n_sites, *args, **kwargs):
+        tracemalloc.start()
+        try:
+            return original(n_sites, *args, **kwargs)
+        finally:
+            peaks[n_sites] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+
+    monkeypatch.setattr(dynamics, "evolve_expectation", traced)
+    assert verification.check_fv_convergence().passed
+    assert sorted(peaks) == [2, 3, 4]
+    assert peaks[4] <= 0.4e6
+
+
+def test_pressure_trend_row_reports_sector_disagreement(monkeypatch):
+    # mutation: one (N_up, N_dn) block misassembled; the trend still holds,
+    # so the row must carry the sector vs dense gap
+    _misassembled_sector_blocks(monkeypatch)
     result = verification.check_pressure_trend()
     assert not result.passed
     assert result.threshold == verification.SECTOR_PRESSURE_TOL

@@ -55,7 +55,8 @@ def test_tracer_labels_a_pure_state_evolution():
     names = [span[0] for span in recorder.spans]
     assert names.count("dynamics.pure_product_state") == 1
     assert names.count("dynamics.evolve_expectation.spectral_pure") == 2
-    assert names.count("dynamics.Propagator.from_matrix") == 2
+    # one propagator per (N_up, N_dn) sector: 9 at N = 2, for each evolution
+    assert names.count("dynamics.Propagator.from_matrix") == 18
 
 
 def test_tracer_records_the_stacked_poisson_algebra_row():
